@@ -22,7 +22,6 @@ from .bounds import (
 )
 from .classes import (
     ClassSpec,
-    HalfDiskPoint,
     IncompleteSpec,
     MembershipReport,
     embed,
@@ -65,7 +64,6 @@ from .poly import (
     Polynomial,
     RealPolynomial,
     conjugate,
-    derivative,
     derivative_values,
     evaluate,
     evaluate_many,

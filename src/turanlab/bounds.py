@@ -19,7 +19,7 @@ import numpy as np
 
 from .classes import ClassSpec, is_member
 from .errors import MembershipError, RegimeError
-from .poly import EXPANSION_CAP, Interval, Polynomial, derivative
+from .poly import Interval, Polynomial
 from .supnorm import CertifiedValue, sup_norm, sup_norm_derivative
 
 KOMAROV_A = 2.0 / (3.0 * math.sqrt(210.0 * math.e))  # 0.02790306...
@@ -49,24 +49,17 @@ class Verdict:
     passes: tuple
 
 
-def turan_ratio(P: Polynomial, I: Interval = Interval(),
-                tol: float = 1e-10) -> CertifiedValue:
+def turan_ratio(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """||P'||_I / ||P||_I with propagated error radius."""
     if P.is_zero:
         raise ValueError("ratio undefined for the zero polynomial")
-    if P.degree <= EXPANSION_CAP:
-        num = sup_norm(derivative(P), I, tol)
-        den = sup_norm(P, I, tol)
-    else:
-        num = sup_norm_derivative(P, I, tol)
-        den = sup_norm(P, I, tol)
+    num = sup_norm_derivative(P, I)
+    den = sup_norm(P, I)
     if den.value <= 0:
         raise ValueError("vanishing sup-norm denominator")
     value = num.value / den.value
     err = (num.err + value * den.err) / max(den.value - den.err, 1e-300)
-    method = "critical-points" if num.method == den.method == "critical-points" \
-        else "certified-grid"
-    return CertifiedValue(value, err, method)
+    return CertifiedValue(value, err, num.method)
 
 
 def turan11_lower(n: int) -> float:

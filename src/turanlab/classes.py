@@ -33,21 +33,6 @@ class ClassSpec:
 
 
 @dataclass(frozen=True)
-class HalfDiskPoint:
-    """Polar coordinates of a point of the closed upper half-disk."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.r <= 1.0 and 0.0 <= self.theta <= np.pi):
-            raise ValueError("need r in [0,1] and theta in [0,pi]")
-
-    def to_complex(self) -> complex:
-        return self.r * complex(np.cos(self.theta), np.sin(self.theta))
-
-
-@dataclass(frozen=True)
 class IncompleteSpec:
     """Degree <= n + k with at least n + 1 zeros at the origin."""
 
@@ -78,9 +63,6 @@ def is_member(P: Polynomial, spec: ClassSpec) -> MembershipReport:
     """Check degree, half-disk count, and the optional pinned interval zero."""
     if P.is_zero:
         return MembershipReport(False, (), None, "zero polynomial")
-    if P.is_coefficient_backed:
-        return MembershipReport(False, (), None,
-                                "coefficient-backed polynomial has no zero list")
     if P.degree > spec.n:
         return MembershipReport(False, (), None,
                                 f"degree {P.degree} exceeds n={spec.n}")
@@ -139,6 +121,20 @@ def sample(spec: ClassSpec, seed: int = 0) -> Polynomial:
     return P
 
 
+def _zeros_from_params(p: np.ndarray, spec: ClassSpec) -> np.ndarray:
+    """The zero array ``embed`` builds from a parameter vector of length
+    2 * spec.n, without the membership check."""
+    a, b = p[0::2], p[1::2]
+    nc = spec.n - spec.k
+    r = np.clip(a[:nc], 0.0, 1.0)
+    th = np.clip(b[:nc], 0.0, np.pi)
+    re = np.concatenate([r * np.cos(th), 3.0 * np.tanh(a[nc:])])
+    im = np.concatenate([r * np.sin(th), 3.0 * np.tanh(b[nc:])])
+    if spec.pin_interval_zero and spec.n >= 1:
+        re[0], im[0] = min(max(a[0], -1.0), 1.0), 0.0
+    return re + 1j * im
+
+
 def embed(params, spec: ClassSpec) -> Polynomial:
     """Map a flat real vector to a class member (for derivative-free search).
 
@@ -152,20 +148,7 @@ def embed(params, spec: ClassSpec) -> Polynomial:
     want = 2 * spec.n
     if p.shape != (want,):
         raise ValueError(f"parameter vector must have length {want}, got {p.shape}")
-    nc = spec.n - spec.k
-    zeros = []
-    pin_slot = 0 if spec.pin_interval_zero and spec.n >= 1 else None
-    for i in range(spec.n):
-        a, b = p[2 * i], p[2 * i + 1]
-        if pin_slot is not None and i == pin_slot:
-            zeros.append(complex(np.clip(a, -1.0, 1.0), 0.0))
-        elif i < nc:
-            r = float(np.clip(a, 0.0, 1.0))
-            th = float(np.clip(b, 0.0, np.pi))
-            zeros.append(r * complex(np.cos(th), np.sin(th)))
-        else:
-            zeros.append(complex(3.0 * np.tanh(a), 3.0 * np.tanh(b)))
-    P = from_zeros(1.0, zeros)
+    P = from_zeros(1.0, _zeros_from_params(p, spec))
     rep = is_member(P, spec)
     if not rep:
         raise MembershipError(f"embedding produced a non-member: {rep.detail}")
@@ -174,7 +157,7 @@ def embed(params, spec: ClassSpec) -> Polynomial:
 
 def incomplete_member(P: Polynomial, spec: IncompleteSpec,
                       geom_tol: float = 1e-9) -> bool:
-    if P.is_zero or P.is_coefficient_backed:
+    if P.is_zero:
         return False
     if P.degree > spec.n + spec.k:
         return False

@@ -24,15 +24,9 @@ import numpy as np
 from .bounds import turan_ratio, turan11_lower
 from .classes import ClassSpec, MembershipReport, is_member
 from .errors import RegimeError, SearchFailure
-from .poly import EXPANSION_CAP, Interval, Polynomial, derivative, from_zeros
+from .poly import Interval, Polynomial, from_zeros
 from .search import SearchConfig, incomplete_from_coeffs, restart_descents
-from .supnorm import (
-    CertifiedValue,
-    argmax_abs,
-    argmax_abs_derivative,
-    sup_norm,
-    sup_norm_derivative,
-)
+from .supnorm import CertifiedValue, argmax_abs_derivative, sup_norm
 
 
 @dataclass(frozen=True)
@@ -116,16 +110,14 @@ def thm24_construct(n: int, k: int,
     _, Q, R, P, ratio = best
 
     check = is_member(P, ClassSpec(2 * n, 2 * k, pin_interval_zero=True))
-    a = (argmax_abs(derivative(P), Interval(0.0, 1.0))
-         if P.degree <= EXPANSION_CAP
-         else argmax_abs_derivative(P, Interval(0.0, 1.0)))
+    a = argmax_abs_derivative(P, Interval(0.0, 1.0))
     confine = math.sqrt(10.0 * (2 * k + 1) / n)
     if confine >= 1.0:
         status = "vacuous"
     else:
         status = "inside" if a <= confine else "outside"
     details = {
-        "inner_ratio": turan_ratio(Q, Interval(0.0, 1.0), tol=1e-12).value,
+        "inner_ratio": turan_ratio(Q, Interval(0.0, 1.0)).value,
         "inner_degree": Q.degree,
         "correction_degree": max(Q.degree - (n - k + 1), 0),
         "derivative_argmax": a,
@@ -153,24 +145,14 @@ def remark_family(epsilon: float, n: int) -> ConstructionReport:
     zeros = tuple(np.exp(2j * np.pi * j / m) for j in range(m)) * n
     P = from_zeros(1.0, zeros)
     deg = m * n
-    if deg <= EXPANSION_CAP:
-        norm = sup_norm(P)
-        dP = derivative(P)
-        dnorm = sup_norm(dP)
-        a = argmax_abs(dP, Interval(0.0, 1.0))
-    else:
-        norm = sup_norm(P)  # certified-grid backend
-        dnorm = sup_norm_derivative(P)
-        a = argmax_abs_derivative(P, Interval(0.0, 1.0))
-    value = dnorm.value / norm.value
-    err = (dnorm.err + value * norm.err) / max(norm.value - norm.err, 1e-300)
-    ratio = CertifiedValue(value, err, dnorm.method)
+    ratio = turan_ratio(P)
+    a = argmax_abs_derivative(P, Interval(0.0, 1.0))
     closed = (m - 1.0) / (m * n - 1.0)
     bound = (inv + 2.0) ** (1.0 - epsilon) * deg ** epsilon
     check = is_member(P, ClassSpec(deg, deg, pin_interval_zero=True))
     details = {
         "m": m,
-        "norm": norm.value,
+        "norm": sup_norm(P).value,
         "derivative_argmax": a,
         "argmax_power": a ** m,
         "closed_form_argmax_power": closed,
@@ -191,8 +173,6 @@ def classical_family(name: str, m: int) -> ConstructionReport:
     if name == "turan-odd":
         zeros.append(-1.0)
     deg = len(zeros)
-    if deg > EXPANSION_CAP:
-        raise ValueError(f"family degree {deg} exceeds the supported range")
     P = from_zeros(1.0, zeros)
     ratio = turan_ratio(P)
     check = is_member(P, ClassSpec(deg, 0, pin_interval_zero=True))

@@ -1,11 +1,11 @@
 """Measures of logarithmic-derivative level sets and pointwise decay checks.
 
-The level sets {|Q'/Q| <= c} and {|R'/R| >= c} are computed division-free:
-membership is the sign condition on the real polynomial
-G = |Q'|^2 - c^2 |Q|^2 (as coefficient polynomials on the real line), so
-poles of the logarithmic derivative at real zeros need no special casing.
-The measure is the total length of the matching sign intervals between
-consecutive roots of G.
+The level sets {|Q'/Q| <= c} and {|R'/R| >= c} are measured from the zero
+list: s = Q'/Q = sum 1/(x - z_i) is evaluated at cell midpoints, and a local
+Lipschitz bound of s on each cell (from the distances of the zeros to it)
+decides whether the whole cell is inside, outside, or has to be split.
+Poles of s at real zeros are cell ends, so they need no special casing.
+The measure is the total length of the inside cells.
 """
 
 from __future__ import annotations
@@ -16,24 +16,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import ClassSpec, is_member
-from .errors import DegreeCapError, MembershipError
+from .errors import MembershipError
 from .poly import (
     Interval,
     Polynomial,
-    RealPolynomial,
-    derivative,
     derivative_values,
     evaluate_many,
     from_zeros,
-    modulus_square_on_reals,
 )
-from .supnorm import CertifiedValue, argmax_abs, real_roots, sup_norm
+from .supnorm import (
+    _EPS,
+    CertifiedValue,
+    _engine_grid,
+    _refine,
+    argmax_abs,
+    sup_norm,
+    sup_norm_derivative,
+)
 
-# level-set measures expand |Q|^2, so the input degree is capped at half
-# the coefficient expansion cap
-_LEVELSET_DEGREE_CAP = 30
-
-_ROOT_TOL = 1e-12
+# level-set cells narrower than this are classified by their midpoint
+_MIN_CELL = 1e-12
 
 SMALL_SET_CONSTANT = 70.0 * math.e       # bound m{|Q'/Q| <= n*delta} < 70e*delta
 LARGE_SET_CONSTANT = 8.0 * math.sqrt(2)  # bound m{|R'/R| >= alpha} <= 8*sqrt(2)*k/alpha
@@ -92,44 +94,58 @@ class FlippedDecayReport:
         }
 
 
-def _difference_polynomial(A: RealPolynomial, B: RealPolynomial, c2: float) -> RealPolynomial:
-    """Coefficients of A - c2 * B."""
-    a = np.asarray(A.coeffs, dtype=float)
-    b = np.asarray(B.coeffs, dtype=float)
-    m = max(a.size, b.size)
-    out = np.zeros(m)
-    out[: a.size] += a
-    out[: b.size] -= c2 * b
-    return RealPolynomial(tuple(out))
+def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
+    """Measure and intervals of {|s| <= level} (small) or {|s| >= level}
+    inside ambient, s = P'/P = sum 1/(x - z_i).
 
-
-def _sign_region(G: RealPolynomial, ambient: Interval, keep_nonpositive: bool):
-    """Measure and intervals of {G <= 0} (or {G >= 0}) inside ambient."""
+    Cells start as the grid of the sup engine with the real parts of the
+    zeros inserted as ends.  On a cell [m - r, m + r],
+    |s(x) - s(m)| <= r * sum_i 1/dist(z_i, cell)^2, which classifies the cell
+    as inside, outside or to be split.  A cell narrower than _MIN_CELL is
+    classified by its midpoint and its width goes into the radius, as does
+    the width left unresolved when the live cells would exceed the cap.
+    """
     lo, hi = ambient.lo, ambient.hi
-    if G.is_zero:
-        full = (Interval(lo, hi),) if keep_nonpositive else (Interval(lo, hi),)
-        return CertifiedValue(hi - lo, 0.0, "critical-points"), full
-    if G.degree == 0:
-        inside = (G.coeffs[0] <= 0) if keep_nonpositive else (G.coeffs[0] >= 0)
-        if inside:
-            return CertifiedValue(hi - lo, 0.0, "critical-points"), (Interval(lo, hi),)
-        return CertifiedValue(0.0, 0.0, "critical-points"), ()
-    rl = real_roots(G, ambient, _ROOT_TOL)
-    pts = np.unique(np.concatenate([[lo, hi], np.asarray(rl.roots, dtype=float)]))
+    zs = np.asarray(P.zeros, dtype=complex)
+    d = zs.size
+    inner = zs.real[(zs.real > lo) & (zs.real < hi)]
+    grid = np.unique(np.concatenate([_engine_grid(P, ambient), inner]))
+    zr, zi2 = zs.real[:, None], (zs.imag ** 2)[:, None]
+    cells = [np.zeros((2, 0))]
+
+    def in_set(a, b):
+        """(certainly in, certainly out, in by the midpoint) per cell."""
+        m, r = 0.5 * (a + b), 0.5 * (b - a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / (m[None, :] - zs[:, None])
+            s = np.abs(np.sum(inv, axis=0))
+            s[~np.isfinite(s)] = np.inf
+            gap = np.maximum(np.maximum(a[None, :] - zr, zr - b[None, :]), 0.0)
+            slack = (r * np.sum(1.0 / (gap ** 2 + zi2), axis=0)
+                     + 4.0 * (d + 1) * _EPS * np.sum(np.abs(inv), axis=0))
+        if small:
+            return s + slack <= level, s - slack > level, s <= level
+        return s - slack >= level, s + slack < level, s >= level
+
+    def settle(a, b):
+        inside, outside, _ = in_set(a, b)
+        cells.append(np.stack([a[inside], b[inside]]))
+        return inside | outside
+
+    _, la, lb = _refine(grid, settle, _MIN_CELL, d)
+    take = in_set(la, lb)[2]
+    cells.append(np.stack([la[take], lb[take]]))
+    cells = np.concatenate(cells, axis=1)
+    cells = cells[:, np.argsort(cells[0], kind="stable")]
     intervals = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + b)
-        v = float(G(mid))
-        inside = (v <= 0.0) if keep_nonpositive else (v >= 0.0)
-        if inside:
-            if intervals and intervals[-1][1] == a:
-                intervals[-1][1] = b
-            else:
-                intervals.append([a, b])
-    measure = float(sum(b - a for a, b in intervals))
-    err = max(len(rl.roots), 1) * _ROOT_TOL
-    ivs = tuple(Interval(a, b) for a, b in intervals)
-    return CertifiedValue(measure, err, "critical-points"), ivs
+    for x0, x1 in cells.T:
+        if intervals and intervals[-1][1] == x0:
+            intervals[-1][1] = x1
+        else:
+            intervals.append([x0, x1])
+    measure = CertifiedValue(float(np.sum(cells[1] - cells[0])),
+                             float(np.sum(lb - la)), "critical-points")
+    return measure, tuple(Interval(x0, x1) for x0, x1 in intervals)
 
 
 def small_logderiv_measure(Q: Polynomial, delta: float,
@@ -144,16 +160,11 @@ def small_logderiv_measure(Q: Polynomial, delta: float,
     n = Q.degree
     if Q.is_zero or n == 0:
         raise ValueError("needs a nonconstant polynomial")
-    if n > _LEVELSET_DEGREE_CAP:
-        raise DegreeCapError(n, _LEVELSET_DEGREE_CAP)
     rep = is_member(Q, ClassSpec(n, 0))
     if not rep:
         raise MembershipError(
             f"level-set hypothesis needs all zeros in the upper half-disk: {rep.detail}")
-    dQ = derivative(Q)
-    G = _difference_polynomial(modulus_square_on_reals(dQ),
-                               modulus_square_on_reals(Q), (n * delta) ** 2)
-    measure, intervals = _sign_region(G, ambient, keep_nonpositive=True)
+    measure, intervals = _level_set(Q, n * delta, True, ambient)
     bound = SMALL_SET_CONSTANT * delta
     satisfied = measure.value + measure.err < bound
     return LevelSetReport(measure, bound, delta, satisfied, intervals)
@@ -165,8 +176,8 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
 
     The set is defined on all of R; only its restriction to the ambient
     interval is measured here.  Real zeros of R belong to the set (the
-    logarithmic derivative blows up), which the sign formulation handles
-    automatically.  A constant R has measure zero.  Bound: 8*sqrt(2)*k/alpha
+    logarithmic derivative blows up), which the cell classification
+    handles automatically.  A constant R has measure zero.  Bound: 8*sqrt(2)*k/alpha
     with k = deg R, non-strict.
     """
     if alpha <= 0:
@@ -177,12 +188,7 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
     if k == 0:
         measure = CertifiedValue(0.0, 0.0, "critical-points")
         return LevelSetReport(measure, 0.0, alpha, True, ())
-    if k > _LEVELSET_DEGREE_CAP:
-        raise DegreeCapError(k, _LEVELSET_DEGREE_CAP)
-    dR = derivative(R)
-    H = _difference_polynomial(modulus_square_on_reals(dR),
-                               modulus_square_on_reals(R), alpha ** 2)
-    measure, intervals = _sign_region(H, ambient, keep_nonpositive=False)
+    measure, intervals = _level_set(R, alpha, False, ambient)
     bound = LARGE_SET_CONSTANT * k / alpha
     satisfied = measure.value - measure.err <= bound
     return LevelSetReport(measure, bound, alpha, satisfied, intervals)
@@ -201,7 +207,7 @@ def incomplete_decay_check(S: Polynomial, n: int, k: int,
     """
     if not (1 <= k <= n - 1):
         raise ValueError(f"needs 1 <= k <= n-1, got n={n}, k={k}")
-    if S.is_zero or S.is_coefficient_backed:
+    if S.is_zero:
         raise MembershipError("needs a factored nonzero polynomial")
     if S.degree > n or _zeros_at(S, 0.0) < n - k:
         raise MembershipError(
@@ -227,7 +233,7 @@ def flipped_decay_check(W: Polynomial, n: int, k: int) -> FlippedDecayReport:
     """
     if not (1 <= k and 2 * k <= n):
         raise ValueError(f"needs 1 <= k <= n/2, got n={n}, k={k}")
-    if W.is_zero or W.is_coefficient_backed:
+    if W.is_zero:
         raise MembershipError("needs a factored nonzero polynomial")
     if W.degree > n or _zeros_at(W, 1.0) < n - k:
         raise MembershipError(
@@ -260,7 +266,7 @@ def mean_value_window_check(P: Polynomial, I: Interval = Interval(),
     den = sup_norm(P, I)
     if den.value == 0:
         raise ValueError("needs a nonzero polynomial")
-    num = sup_norm(derivative(P), I)
+    num = sup_norm_derivative(P, I)
     M = num.value / den.value
     x0 = argmax_abs(P, I)
     half_width = 0.5 / M if M > 0 else (I.hi - I.lo)

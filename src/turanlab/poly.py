@@ -4,15 +4,18 @@ The factored form (leading coefficient plus zero multiset) is the source
 of truth everywhere in this package: evaluating ``leading * prod(x - z_i)``
 directly keeps the relative error near machine precision even when the
 expanded coefficients would cancel catastrophically (think zeros packed
-inside [-1,1] at degree 30, where the sup-norm is ~2^(1-n)).  Expansion to
-coefficients is only performed where a coefficient equation is genuinely
-needed (critical points, level-set boundaries) and is capped at degree 60,
-past which double-precision coefficient growth is unreliable.
+inside [-1,1] at degree 30, where the sup-norm is ~2^(1-n)).  Every
+certified number is computed from the zero list, at any degree, through
+the value kernel here, which also gives P' and P'' without expanding.
+Expansion to coefficients (``expand``, ``modulus_square_on_reals``) is a
+utility for callers that want a coefficient equation; it is capped at
+degree 60, past which double-precision coefficient growth is unreliable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,25 +51,16 @@ class Interval:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial over the complex numbers in factored form.
-
-    ``coeffs`` is normally ``None``; it is populated only on
-    coefficient-backed instances (produced when re-factoring after
-    differentiation fails its residual check), in which case the stored
-    ascending coefficients are authoritative and ``zeros`` is empty.
-    """
+    """Polynomial over the complex numbers in factored form."""
 
     leading: complex
     zeros: tuple = ()
     is_zero: bool = False
-    coeffs: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "leading", complex(self.leading))
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
-        if self.coeffs is not None:
-            object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if not self.is_zero and self.leading == 0 and self.coeffs is None:
+        if not self.is_zero and self.leading == 0:
             raise ValueError(
                 "leading coefficient must be nonzero; use Polynomial.zero() "
                 "for the zero polynomial"
@@ -80,13 +74,7 @@ class Polynomial:
     def degree(self) -> int:
         if self.is_zero:
             return 0
-        if self.coeffs is not None:
-            return len(self.coeffs) - 1
         return len(self.zeros)
-
-    @property
-    def is_coefficient_backed(self) -> bool:
-        return self.coeffs is not None
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -137,27 +125,64 @@ def conjugate(P: Polynomial) -> Polynomial:
     """The polynomial whose coefficients are conjugated (zeros conjugate too)."""
     if P.is_zero:
         return Polynomial.zero()
-    if P.is_coefficient_backed:
-        return Polynomial(np.conj(P.leading), (), coeffs=tuple(np.conj(c) for c in P.coeffs))
     return Polynomial(np.conj(P.leading), tuple(np.conj(z) for z in P.zeros))
 
 
-def evaluate_many(P: Polynomial, xs) -> np.ndarray:
-    """Vectorized evaluation; factored product unless coefficient-backed."""
-    x = np.atleast_1d(np.asarray(xs, dtype=complex))
+def _values(P: Polynomial, xs, order: int) -> np.ndarray:
+    """Rows P, P', ..., P^(order) (order <= 2) at the points xs (1-D), from
+    the zero list.
+
+    With s = sum 1/(x - z_i) and t = sum 1/(x - z_i)^2, P'/P = s and
+    P''/P = s^2 - t.  At a point x0 where mu zeros coincide, P = (x - x0)^mu R
+    and P^(j)(x0) = j!/(j - mu)! * R^(j - mu)(x0), with R and its derivatives
+    taken from the same sums over the remaining zeros: O(d) per point.
+    """
+    x = np.asarray(xs, dtype=complex).ravel()
+    out = np.zeros((order + 1, x.size), dtype=complex)
     if P.is_zero:
-        return np.zeros(x.shape, dtype=complex)
-    if P.is_coefficient_backed:
-        return np.polynomial.polynomial.polyval(x, np.asarray(P.coeffs, dtype=complex))
+        return out
     zs = np.asarray(P.zeros, dtype=complex)
     if zs.size == 0:
-        return np.full(x.shape, P.leading, dtype=complex)
-    if zs.size * x.size <= _BROADCAST_LIMIT:
-        return P.leading * np.prod(x[None, :] - zs[:, None], axis=0)
-    out = np.full(x.shape, P.leading, dtype=complex)
-    for z in zs:
-        out *= x - z
+        out[0] = P.leading
+        return out
+    if order == 0:
+        if zs.size * x.size <= _BROADCAST_LIMIT:
+            out[0] = P.leading * np.prod(x[None, :] - zs[:, None], axis=0)
+        else:
+            out[0] = P.leading
+            for z in zs:
+                out[0] *= x - z
+        return out
+    step = max(1, _BROADCAST_LIMIT // zs.size)
+    for lo in range(0, x.size, step):
+        sl = slice(lo, lo + step)
+        diffs = x[None, sl] - zs[:, None]
+        hit = diffs == 0
+        mu = hit.sum(axis=0) if hit.any() else None
+        if mu is not None:
+            diffs[hit] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = 1.0 / diffs
+            if mu is not None:
+                inv[hit] = 0.0
+            jets = [P.leading * np.prod(diffs, axis=0)]
+            s = np.sum(inv, axis=0)
+            jets.append(jets[0] * s)
+            if order >= 2:
+                jets.append(jets[0] * (s * s - np.sum(inv * inv, axis=0)))
+        for j in range(order + 1):
+            val = jets[j]
+            if mu is not None:
+                val = np.where(mu == 0, val, 0.0)
+                for m in range(1, j + 1):
+                    val = np.where(mu == m, math.perm(j, m) * jets[j - m], val)
+            out[j, sl] = val
     return out
+
+
+def evaluate_many(P: Polynomial, xs) -> np.ndarray:
+    """Vectorized evaluation of the factored product."""
+    return _values(P, xs, 0)[0]
 
 
 def evaluate(P: Polynomial, x) -> complex:
@@ -165,47 +190,14 @@ def evaluate(P: Polynomial, x) -> complex:
 
 
 def derivative_values(P: Polynomial, xs) -> np.ndarray:
-    """Values of P' at xs without expanding or re-factoring.
-
-    Uses P'(x) = P(x) * sum_i 1/(x - z_i); points that collide with a zero
-    (where the sum formula degenerates to inf*0) are repaired with the
-    exact leave-one-out product.
-    """
-    x = np.atleast_1d(np.asarray(xs, dtype=complex))
-    if P.is_zero:
-        return np.zeros(x.shape, dtype=complex)
-    if P.is_coefficient_backed:
-        dc = np.polynomial.polynomial.polyder(np.asarray(P.coeffs, dtype=complex))
-        return np.polynomial.polynomial.polyval(x, dc)
-    zs = np.asarray(P.zeros, dtype=complex)
-    if zs.size == 0:
-        return np.zeros(x.shape, dtype=complex)
-    vals = evaluate_many(P, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if zs.size * x.size <= _BROADCAST_LIMIT:
-            s = np.sum(1.0 / (x[None, :] - zs[:, None]), axis=0)
-        else:
-            s = np.zeros(x.shape, dtype=complex)
-            for z in zs:
-                s += 1.0 / (x - z)
-        out = vals * s
-    bad = np.flatnonzero(~np.isfinite(out))
-    for i in bad:
-        xi = x.flat[i]
-        diffs = xi - zs
-        total = 0.0 + 0.0j
-        for j in range(zs.size):
-            total += np.prod(np.delete(diffs, j))
-        out.flat[i] = P.leading * total
-    return out
+    """Values of P' at xs from the zero list, exact at points on a zero."""
+    return _values(P, xs, 1)[1]
 
 
 def expand(P: Polynomial) -> np.ndarray:
     """Ascending complex coefficients; raises past the expansion cap."""
     if P.is_zero:
         return np.zeros(1, dtype=complex)
-    if P.is_coefficient_backed:
-        return np.asarray(P.coeffs, dtype=complex)
     if P.degree > EXPANSION_CAP:
         raise DegreeCapError(P.degree, EXPANSION_CAP)
     c = np.array([P.leading], dtype=complex)
@@ -214,45 +206,6 @@ def expand(P: Polynomial) -> np.ndarray:
     if not np.all(np.isfinite(c)):
         raise OverflowEvaluationError("coefficient expansion")
     return c
-
-
-# Residual threshold (relative to the derivative's coefficient scale) for
-# accepting a re-factored derivative.
-_REFACTOR_RTOL = 1e-8
-
-
-def derivative(P: Polynomial) -> Polynomial:
-    """Differentiate; re-factors through the complex root finder.
-
-    When the residual check on the recovered roots fails, the result is a
-    coefficient-backed Polynomial rather than a silently wrong factored one.
-    """
-    if P.is_zero or P.degree == 0:
-        return Polynomial.zero()
-    if P.is_coefficient_backed:
-        dc = np.polynomial.polynomial.polyder(np.asarray(P.coeffs, dtype=complex))
-        return _refactor_from_coeffs(dc)
-    if P.degree > EXPANSION_CAP:
-        raise DegreeCapError(P.degree, EXPANSION_CAP)
-    dc = np.polynomial.polynomial.polyder(expand(P))
-    return _refactor_from_coeffs(dc)
-
-
-def _refactor_from_coeffs(dc: np.ndarray) -> Polynomial:
-    dc = np.asarray(dc, dtype=complex)
-    nz = np.flatnonzero(np.abs(dc) > 0)
-    if nz.size == 0:
-        return Polynomial.zero()
-    dc = dc[: nz[-1] + 1]
-    if len(dc) == 1:
-        return Polynomial(dc[0], ())
-    roots = np.polynomial.polynomial.polyroots(dc)
-    scale = float(np.max(np.abs(dc)))
-    cand = Polynomial(dc[-1], tuple(roots))
-    resid = np.max(np.abs(evaluate_many(cand, roots)))
-    if resid <= _REFACTOR_RTOL * scale:
-        return cand
-    return Polynomial(dc[-1], (), coeffs=tuple(dc))
 
 
 def modulus_square_on_reals(P: Polynomial) -> RealPolynomial:
@@ -266,8 +219,6 @@ def modulus_square_on_reals(P: Polynomial) -> RealPolynomial:
 
 def to_payload(P: Polynomial) -> dict:
     """JSON-ready dict: {"leading": [re, im], "zeros": [[re, im], ...]}."""
-    if P.is_coefficient_backed:
-        raise ValueError("coefficient-backed polynomials have no zero-list payload")
     if P.is_zero:
         return {"leading": [0.0, 0.0], "zeros": []}
     return {

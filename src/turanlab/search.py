@@ -19,10 +19,23 @@ import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
 from .bounds import BoundBracket, bracket_pass, lemma34_bracket, thm21_bracket, turan_ratio
-from .classes import ClassSpec, IncompleteSpec, embed, incomplete_member, is_member
+from .classes import (
+    ClassSpec,
+    IncompleteSpec,
+    _zeros_from_params,
+    embed,
+    incomplete_member,
+    is_member,
+)
 from .errors import SearchFailure, TuranLabError
-from .poly import Interval, Polynomial, derivative, evaluate, from_zeros
-from .supnorm import CertifiedValue, sup_norm, total_variation
+from .poly import Interval, Polynomial, evaluate, from_zeros
+from .supnorm import (
+    CertifiedValue,
+    _cheb_grid,
+    sup_norm,
+    sup_norm_derivative,
+    total_variation,
+)
 
 
 @dataclass(frozen=True)
@@ -51,10 +64,6 @@ class SearchResult:
     warm_best: float | None = None
 
 
-def _cheb_grid(lo: float, hi: float, m: int) -> np.ndarray:
-    return lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
-
-
 def _fast_ratio(leading: complex, zeros: np.ndarray, xs: np.ndarray) -> float:
     """Grid estimate of ||P'||/||P|| from the factored form."""
     diffs = xs[None, :] - zeros[:, None]
@@ -69,24 +78,6 @@ def _fast_ratio(leading: complex, zeros: np.ndarray, xs: np.ndarray) -> float:
     if den <= 0.0 or not np.isfinite(den):
         return 1e18
     return num / den
-
-
-def _zeros_from_params(p: np.ndarray, spec: ClassSpec) -> np.ndarray:
-    """Same map as classes.embed, returned as a bare array for speed."""
-    nc = spec.n - spec.k
-    zeros = np.empty(spec.n, dtype=complex)
-    pin_slot = 0 if spec.pin_interval_zero and spec.n >= 1 else None
-    for i in range(spec.n):
-        a, b = p[2 * i], p[2 * i + 1]
-        if pin_slot is not None and i == pin_slot:
-            zeros[i] = complex(min(max(a, -1.0), 1.0), 0.0)
-        elif i < nc:
-            r = min(max(a, 0.0), 1.0)
-            th = min(max(b, 0.0), math.pi)
-            zeros[i] = r * complex(math.cos(th), math.sin(th))
-        else:
-            zeros[i] = complex(3.0 * math.tanh(a), 3.0 * math.tanh(b))
-    return zeros
 
 
 def _turan_family_zeros(d: int) -> list:
@@ -143,8 +134,7 @@ def _warm_param_starts(spec: ClassSpec) -> list:
 def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Estimate the infimum of ||P'||/||P|| over the class via restarts."""
     if spec.n > 30:
-        raise ValueError("search supports n <= 30 (derivative norms need "
-                         "expansion headroom)")
+        raise ValueError("search supports n <= 30")
     if spec.n == 0:
         raise SearchFailure("class of constants has no meaningful ratio")
     interval = Interval()
@@ -169,7 +159,7 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
     warm_vals = []
     for P in _warm_candidates(spec):
         evals += 1
-        cert = turan_ratio(P, interval, tol=1e-12)
+        cert = turan_ratio(P, interval)
         warm_vals.append(cert.value)
         consider(P, cert, None)
 
@@ -213,7 +203,7 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
                                     "fatol": max(cfg.tol * 1e-2, 1e-13),
                                     "initial_simplex": sim})
         P = embed(res.x, spec)
-        consider(P, turan_ratio(P, interval, tol=1e-12), np.asarray(res.x))
+        consider(P, turan_ratio(P, interval), np.asarray(res.x))
 
     if best is None:
         raise SearchFailure("no feasible evaluation within budget")
@@ -317,12 +307,12 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
         if Q is None or not incomplete_member(Q, spec):
             return
         interval = Interval(0.0, 1.0)
-        num = sup_norm(derivative(Q), interval, tol=1e-12)
+        num = sup_norm_derivative(Q, interval)
         if denominator == "point":
             den_v = abs(evaluate(Q, 1.0))
             den_e = 16 * np.finfo(float).eps * den_v
         elif denominator == "sup":
-            d = sup_norm(Q, interval, tol=1e-12)
+            d = sup_norm(Q, interval)
             den_v, den_e = d.value, d.err
         else:
             d = total_variation(Q, interval)

@@ -1,34 +1,36 @@
 """Certified sup-norms on intervals, real-root isolation, total variation.
 
-Two backends compute ``max |P|`` over an interval:
-
-* critical-points (degree <= 60): the real critical points of |P(x)|^2 are
-  located from the expanded coefficient equation, then polished against the
-  numerically accurate factored form h(x) = 2 Re(conj(P) P'); candidate
-  values are always taken from the factored form, so coefficient
-  cancellation in the expansion cannot corrupt the maximum.
-* certified-grid (any degree): branch-and-bound over subintervals with a
-  Lipschitz certificate from the classical derivative bound
-  ||P'|| <= d^2 (2/|I|) ||P||, seeded by a coarse pass inflated 2x.
+One engine computes ``max |F|`` over an interval for F = P or F = P', at
+any degree, from the zero list alone.  The real critical points of |F|^2
+are the roots of h = 2 Re(conj(F) F').  The 8d+8-cell Chebyshev grid of the
+interval (d = deg P) is refined until bounds taken from the zero list prove
+that each cell holds at most one root of h, or no value of |F| above the
+maximum found so far; a sign scan of h over the final cells then finds
+every root that matters, and each is narrowed by Illinois steps (regula
+falsi, safeguarded by bisection).  The maximum of |F| over the cell ends
+and those roots, all evaluated in factored form, is the value; its radius
+is 64(d+1) eps times the value, plus the rounding bound of the values
+(P' = P sum 1/(x - z_i) can cancel) and whatever a flat maximum or a cell
+given up on could still hide.  Total variation uses the same cell test on
+the roots of P'.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OverflowEvaluationError
 from .poly import (
-    EXPANSION_CAP,
+    _BROADCAST_LIMIT,
     Interval,
     Polynomial,
     RealPolynomial,
-    derivative,
+    _values,
     derivative_values,
     evaluate_many,
-    expand,
-    modulus_square_on_reals,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -43,7 +45,7 @@ class CertifiedValue:
 
     value: float
     err: float
-    method: str  # "critical-points" | "certified-grid"
+    method: str  # always "critical-points"; the CLI prints it
 
     def __post_init__(self):
         if self.err < 0:
@@ -58,63 +60,40 @@ class RootList:
 
 
 def _polish_roots(f, hints, lo, hi, xtol):
-    """Bracket each hint by sign change, then lockstep bisection (vectorized)."""
-    hints = np.unique(np.clip(np.asarray(hints, dtype=float), lo, hi))
-    if hints.size == 0:
-        return hints, np.zeros(0, dtype=bool)
-    span = max(hi - lo, xtol)
-    widths = xtol * 4.0 ** np.arange(40)
-    widths = widths[widths <= span]
-    blo = np.full(hints.shape, np.nan)
-    bhi = np.full(hints.shape, np.nan)
-    open_ = np.ones(hints.shape, dtype=bool)
-    for w in widths:
-        if not open_.any():
+    """Bracket each hint by a sign change over growing widths and narrow the
+    brackets (_narrow); returns the roots and which were bracketed."""
+    roots = np.unique(np.clip(np.asarray(hints, dtype=float), lo, hi))
+    ends = np.full((4, roots.size), np.nan)       # a, b, f(a), f(b)
+    for w in xtol * 4.0 ** np.arange(40):
+        idx = np.flatnonzero(np.isnan(ends[0]))
+        if idx.size == 0 or w > max(hi - lo, xtol):
             break
-        a = np.clip(hints - w, lo, hi)
-        b = np.clip(hints + w, lo, hi)
-        idx = np.flatnonzero(open_)
-        fa = f(a[idx])
-        fb = f(b[idx])
-        hit = idx[np.sign(fa) * np.sign(fb) <= 0]
-        blo[hit] = a[hit]
-        bhi[hit] = b[hit]
-        open_[hit] = False
-    bracketed = ~np.isnan(blo)
-    roots = hints.copy()
-    a = blo[bracketed]
-    b = bhi[bracketed]
-    if a.size:
-        fa = f(a)
-        for _ in range(90):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            left = np.sign(fa) * np.sign(fm) <= 0
-            b = np.where(left, mid, b)
-            a = np.where(left, a, mid)
-            fa = np.where(left, fa, fm)
-            if np.max(b - a) <= xtol:
-                break
-        roots[bracketed] = 0.5 * (a + b)
+        a, b = np.clip(roots[idx] - w, lo, hi), np.clip(roots[idx] + w, lo, hi)
+        fa, fb = f(a), f(b)
+        hit = np.sign(fa) * np.sign(fb) <= 0
+        ends[:, idx[hit]] = np.stack([a, b, fa, fb])[:, hit]
+    bracketed = ~np.isnan(ends[0])
+    roots[bracketed] = _narrow(f, *ends[:, bracketed], xtol)
     return roots, bracketed
 
 
-def real_roots(G: RealPolynomial, I: Interval = Interval(), tol: float = 1e-12,
-               refine_fn=None) -> RootList:
+def real_roots(G: RealPolynomial, I: Interval = Interval(),
+               tol: float = 1e-12) -> RootList:
     """All real roots of G inside I, bracketed to width <= tol.
 
-    Hints come from the companion-matrix eigenvalues plus a sign-change scan
-    on a Chebyshev grid; each hint is polished by bisection against
-    ``refine_fn`` when given (an accurate reevaluation of G) or G itself.
-    Roots closer than 1e-9 are merged into one entry with a multiplicity
-    estimate.
+    The sign changes of G on a Chebyshev grid are narrowed by Illinois
+    steps (_narrow, as in the sup engine); the companion-matrix eigenvalues
+    near I are further hints, each bracketed by a sign change and narrowed
+    the same way, which catch roots the grid does not separate and
+    even-multiplicity roots.  Roots closer than 1e-9 are merged into one
+    entry with a multiplicity estimate.
     """
     if G.is_zero:
         raise ValueError("real_roots requires a nonzero polynomial")
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = I.lo, I.hi
-    f = refine_fn if refine_fn is not None else (lambda x: np.asarray(G(x), dtype=float))
+    f = lambda x: np.asarray(G(x), dtype=float)
     if G.degree == 0:
         return RootList((), (), ())
 
@@ -123,17 +102,13 @@ def real_roots(G: RealPolynomial, I: Interval = Interval(), tol: float = 1e-12,
     eig_real = np.array([z.real for z in eig
                          if abs(z.imag) <= margin
                          and lo - margin <= z.real <= hi + margin])
-    hints = list(eig_real)
 
-    m = max(32, 4 * G.degree + 9)
-    grid = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
+    grid = _cheb_grid(lo, hi, max(32, 4 * G.degree + 9))
     gv = f(grid)
-    sgn = np.sign(gv)
-    flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-    hints.extend(0.5 * (grid[i] + grid[i + 1]) for i in flips)
-    hints.extend(grid[np.flatnonzero(sgn == 0)])
-
-    roots, bracketed = _polish_roots(f, np.asarray(hints, dtype=float), lo, hi, tol)
+    found = np.concatenate([_sign_roots(f, grid, gv, tol), grid[gv == 0]])
+    polished, bracketed = _polish_roots(f, eig_real, lo, hi, tol)
+    roots = np.concatenate([found, polished])
+    bracketed = np.concatenate([np.ones(found.size, dtype=bool), bracketed])
     if roots.size == 0:
         return RootList((), (), ())
 
@@ -165,183 +140,306 @@ def real_roots(G: RealPolynomial, I: Interval = Interval(), tol: float = 1e-12,
     return RootList(tuple(out_roots), tuple(out_res), tuple(out_mult))
 
 
-def _critical_point_sup(P: Polynomial, I: Interval, tol: float):
-    """(value, err, argmax) via the critical-points method; degree <= 60."""
-    lo, hi = I.lo, I.hi
-    d = P.degree
-    g = modulus_square_on_reals(P)
-    dg = g.derivative()
-
-    cands = [np.array([lo, hi])]
-    if not dg.is_zero and dg.degree >= 0 and len(dg.coeffs) > 1:
-        margin = 0.05 * max(1.0, hi - lo)
-        eig = np.polynomial.polynomial.polyroots(np.asarray(dg.coeffs))
-        hints = np.array([z.real for z in np.atleast_1d(eig)
-                          if abs(z.imag) <= margin and lo - margin <= z.real <= hi + margin])
-
-        def h(x):
-            # accurate (|P|^2)' from the factored form
-            v = evaluate_many(P, x)
-            dv = derivative_values(P, x)
-            return 2.0 * (np.conj(v) * dv).real
-
-        if hints.size:
-            roots, _ = _polish_roots(h, hints, lo, hi, 1e-13 * max(1.0, hi - lo))
-            cands.append(roots)
-    m = max(8, 4 * d)
-    cands.append(lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(m + 1) / m)))
-    xs = np.concatenate(cands)
-    vals = np.abs(evaluate_many(P, xs))
-    if not np.all(np.isfinite(vals)):
-        raise OverflowEvaluationError("sup-norm evaluation")
-    best = float(np.max(vals))
-    near = xs[vals >= best * (1.0 - 64.0 * _EPS)]
-    argmax = float(np.min(near)) if near.size else float(xs[int(np.argmax(vals))])
-    err = 64.0 * (d + 1) * _EPS * best
-    return best, err, argmax
+def _cheb_grid(lo: float, hi: float, m: int) -> np.ndarray:
+    """The m + 1 Chebyshev extrema of [lo, hi], ascending, ends exact."""
+    x = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
+    x[0], x[-1] = lo, hi
+    return x
 
 
-def _bnb_max(values_fn, degree: int, I: Interval, tol: float):
-    """(value, err, argmax) via Lipschitz-certified branch-and-bound.
+def _sign_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> np.ndarray:
+    """Roots of f in the cells of the ascending grid x where fx changes sign,
+    each narrowed to width <= xtol (_narrow)."""
+    i = np.flatnonzero(np.sign(fx[:-1]) * np.sign(fx[1:]) < 0)
+    return _narrow(f, x[i], x[i + 1], fx[i], fx[i + 1], xtol)
 
-    values_fn(xs) -> |values| on xs.  The certificate is the derivative
-    bound L = degree^2 * (2/|I|) * Mhat with Mhat from a coarse pass whose
-    step already certifies M <= 2 * coarse max, inflated 2x.
+
+def _narrow(f, a, b, fa, fb, xtol: float) -> np.ndarray:
+    """Midpoints of the brackets [a, b] of roots of f (fa, fb the values at
+    their ends, of opposite signs or zero) once narrowed to width <= xtol.
+
+    Illinois steps (false position, halving the value kept at the same end
+    twice in a row) run in lockstep over all brackets; a bracket that has
+    not halved within three steps bisects next.
     """
-    lo, hi = I.lo, I.hi
-    L = hi - lo
-    if L <= 0:
-        v = float(values_fn(np.array([lo]))[0])
-        return v, 0.0, lo
-    d = max(degree, 1)
-    m0 = int(min(max(256, 2 * d * d), 6_000_000))
-    xs = np.linspace(lo, hi, m0 + 1)
-    vals = values_fn(xs)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowEvaluationError("certified-grid sampling")
-    i0 = int(np.argmax(vals))
-    best = float(vals[i0])
-    best_x = float(xs[i0])
-    if best == 0.0:
-        return 0.0, 0.0, lo
-    mhat = 2.0 * best
-    lip = d * d * (2.0 / L) * mhat
-
-    a = xs[:-1]
-    b = xs[1:]
-    va = vals[:-1]
-    vb = vals[1:]
-    tol_eff = max(tol, 64.0 * _EPS * best)
+    kept = np.zeros(a.size, dtype=int)     # -1: a kept last step, +1: b kept
+    ref, age = b - a, np.zeros(a.size, dtype=int)
     for _ in range(200):
-        w = b - a
-        ub = np.maximum(va, vb) + 0.5 * lip * w
-        keep = ub > best + tol_eff
-        if not np.any(keep):
-            gap = float(np.max(ub - best)) if ub.size else 0.0
-            return best, max(min(gap, tol_eff), 0.0), best_x
-        a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
-        mid = 0.5 * (a + b)
-        vm = values_fn(mid)
-        j = int(np.argmax(vm))
-        if float(vm[j]) > best:
-            best = float(vm[j])
-            best_x = float(mid[j])
-            tol_eff = max(tol, 64.0 * _EPS * best)
-        a = np.concatenate([a, mid])
-        b = np.concatenate([mid, b])
-        va = np.concatenate([va, vm])
-        vb = np.concatenate([vm, vb])
-    ub = np.maximum(va, vb) + 0.5 * lip * (b - a)
-    return best, max(float(np.max(ub)) - best, 0.0), best_x
+        live = np.flatnonzero(b - a > xtol)
+        if live.size == 0:
+            break
+        A, B, FA, FB = a[live], b[live], fa[live], fb[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (A * FB - B * FA) / (FB - FA)
+        bisect = (age[live] >= 3) | ~((c > A) & (c < B))
+        c = np.where(bisect, 0.5 * (A + B), c)
+        fc = f(c)
+        right = np.sign(fc) == np.sign(FA)          # root in [c, B]
+        hit = fc == 0
+        FB = np.where(right & (kept[live] == 1), 0.5 * FB, FB)
+        FA = np.where(~right & (kept[live] == -1), 0.5 * FA, FA)
+        a[live] = np.where(right | hit, c, A)
+        b[live] = np.where(right & ~hit, B, c)
+        fa[live] = np.where(right, fc, FA)
+        fb[live] = np.where(right, FB, fc)
+        kept[live] = np.where(right, 1, -1)
+        w = b[live] - a[live]
+        reset = bisect | (w <= 0.5 * ref[live])
+        ref[live] = np.where(reset, w, ref[live])
+        age[live] = np.where(reset, 0, age[live] + 1)
+    return 0.5 * (a + b)
 
 
-def _sup_with_argmax(P: Polynomial, I: Interval, tol: float, method=None):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if P.is_zero:
-        return 0.0, 0.0, I.lo, "critical-points"
-    if P.degree == 0:
-        v = abs(P.leading)
-        if not np.isfinite(v):
-            raise OverflowEvaluationError("sup-norm evaluation")
-        return float(v), 0.0, I.lo, "critical-points"
-    if method is None:
-        method = "critical-points" if P.degree <= EXPANSION_CAP else "certified-grid"
-    if method == "critical-points":
-        if P.degree > EXPANSION_CAP:
-            raise ValueError("critical-points backend needs degree <= "
-                             f"{EXPANSION_CAP}; got {P.degree}")
-        v, e, x = _critical_point_sup(P, I, tol)
-        return v, e, x, "critical-points"
-    if method == "certified-grid":
-        fn = lambda xs: np.abs(evaluate_many(P, xs))
-        v, e, x = _bnb_max(fn, P.degree, I, tol)
-        return v, e, x, "certified-grid"
-    raise ValueError(f"unknown sup-norm method: {method!r}")
+def _engine_grid(P: Polynomial, I: Interval) -> np.ndarray:
+    """The 8d+8-cell Chebyshev grid of I (d = deg P), without repeated
+    points, that every cell refinement in the package starts from."""
+    return np.unique(_cheb_grid(I.lo, I.hi, 8 * P.degree + 8))
 
 
-def sup_norm(P: Polynomial, I: Interval = Interval(), tol: float = 1e-10,
-             method: str | None = None) -> CertifiedValue:
-    """Certified max of |P| over I."""
-    v, e, _, m = _sup_with_argmax(P, I, tol, method)
-    return CertifiedValue(v, e, m)
+def _majorants(P: Polynomial, a: np.ndarray, b: np.ndarray, kmax: int):
+    """(M, [E_0, ..., E_kmax]) with |P^(k)| <= k! M E_k on each cell [a, b]:
+    the Taylor coefficients of P at the midpoint m are dominated by those of
+    M(rho) = |c| prod(|m - z_i| + rho), so with r the half-width,
+    M = M(r) and E_k = e_k(1/(|m - z_i| + r)), from power sums by Newton's
+    identities, padded by their rounding."""
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    zs = np.asarray(P.zeros, dtype=complex)
+    w = np.abs(m[None, :] - zs[:, None]) + r[None, :]
+    M = abs(P.leading) * np.prod(w, axis=0)
+    inv = 1.0 / w
+    p, pw = [], inv
+    for _ in range(kmax):
+        p.append(np.sum(pw, axis=0))
+        pw = pw * inv
+    E = [np.ones_like(m)]
+    for k in range(1, kmax + 1):
+        e = sum((-1) ** (j - 1) * E[k - j] * p[j - 1] for j in range(1, k + 1)) / k
+        E.append(np.maximum(e, 0.0) + 4.0 * k * _EPS * p[0] ** k)
+    return M, E
 
 
-def argmax_abs(P: Polynomial, I: Interval = Interval(), tol: float = 1e-10,
-               method: str | None = None) -> float:
-    """Leftmost certified maximizer of |P| on I (deterministic tie-break)."""
-    _, _, x, _ = _sup_with_argmax(P, I, tol, method)
-    return x
+def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, order: int, full: bool):
+    """(f, err, tail) for F = P^(order) on the cells [a, b], x = m + r tau.
 
-
-def sup_norm_derivative(P: Polynomial, I: Interval = Interval(),
-                        tol: float = 1e-10) -> CertifiedValue:
-    """Certified max of |P'| over I without expanding P.
-
-    Works at any degree: |P'| is evaluated through the factored
-    log-derivative formula and certified with the branch-and-bound grid
-    (P' has degree P.degree - 1, so the same Lipschitz certificate applies).
+    P(m + r tau) is expanded factor by factor from the zero list, so no
+    expanded form cancels; f holds its Taylor coefficients in tau (then
+    those of F), err their rounding bounds (4(d+2) eps M (r E_1)^j for P),
+    and tail[k] bounds the k-th tau-derivative (k = 0, 1, 2) of the
+    remainder for tau in [-1, 1].  The cheap form keeps the terms up to
+    tau^3 and bounds the rest by sup|P''''| <= 24 M E_4 (_majorants); the
+    full form keeps all of them, at O(d^2) per cell.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if P.is_zero or P.degree == 0:
-        return CertifiedValue(0.0, 0.0, "certified-grid")
-    fn = lambda xs: np.abs(derivative_values(P, xs))
-    v, e, _ = _bnb_max(fn, P.degree, I, tol)
-    return CertifiedValue(v, e, "certified-grid")
+    m, r = 0.5 * (a + b), (0.5 * (b - a))[:, None]
+    M, E = _majorants(P, a, b, 4)
+    terms = P.degree + 1 if full else min(P.degree + 1, 4)
+    c = np.zeros((m.size, terms), dtype=complex)
+    c[:, 0] = P.leading
+    for z in P.zeros:
+        t = (m - z)[:, None]
+        c[:, 1:] = c[:, 1:] * t + c[:, :-1] * r
+        c[:, :1] *= t
+    n = 4 - order           # the remainder of F starts at tau^n
+    tail = np.array([r[:, 0] ** n * 24.0 * M * E[4] / math.factorial(n - k)
+                     for k in range(3)]) * (terms <= P.degree)
+    err = (4.0 * (P.degree + 2) * _EPS * M[:, None]
+           * (r * E[1][:, None]) ** np.arange(c.shape[1]))
+    for _ in range(order):
+        j = np.arange(1, c.shape[1])
+        c, err = c[:, 1:] * j / r, err[:, 1:] * j / r
+    return c, err, tail
 
 
-def argmax_abs_derivative(P: Polynomial, I: Interval = Interval(),
-                          tol: float = 1e-10) -> float:
-    fn = lambda xs: np.abs(derivative_values(P, xs))
-    _, _, x = _bnb_max(fn, P.degree if P.degree else 1, I, tol)
-    return x
+def _square(c: np.ndarray, conj: bool = True) -> np.ndarray:
+    """Row-wise coefficients of |sum c_j tau^j|^2 for real tau (or of the
+    square when conj is False, as for a majorant)."""
+    n = c.shape[1]
+    q = np.zeros((c.shape[0], 2 * n - 1), dtype=c.dtype)
+    cc = np.conj(c) if conj else c
+    for i in range(n):
+        q[:, i:i + n] += c[:, i:i + 1] * cc
+    return q.real
+
+
+def _modulus_square(f: np.ndarray, err: np.ndarray, tail: np.ndarray):
+    """_series for |F|^2 = |S + R|^2, S = sum f_j tau^j and R the remainder:
+    the coefficients of |S|^2, their rounding bounds, and bounds on the
+    k-th tau-derivatives (k = 0, 1, 2) of |F|^2 - |S|^2 on [-1, 1]."""
+    fa = np.abs(f) + err
+    qa = _square(fa, conj=False)
+    qerr = qa - _square(np.abs(f), conj=False) + 2.0 * f.shape[1] * _EPS * qa
+    j = np.arange(f.shape[1])
+    s0, s1, s2 = fa.sum(axis=1), fa @ j, fa @ (j * (j - 1))
+    t0, t1, t2 = tail
+    qtail = np.array([2 * s0 * t0 + t0 * t0,
+                      2 * (s1 * t0 + s0 * t1 + t0 * t1),
+                      2 * (s2 * t0 + 2 * s1 * t1 + s0 * t2 + t1 * t1 + t0 * t2)])
+    return _square(f), qerr, qtail
+
+
+def _no_root(c: np.ndarray, err: np.ndarray, tail: np.ndarray, k: int) -> np.ndarray:
+    """Rows where the k-th tau-derivative of sum c_j tau^j, plus a remainder
+    whose k-th derivative stays below tail, provably has no root for tau in
+    [-1, 1]: its constant term outweighs all the rest, each coefficient
+    widened by its rounding bound err."""
+    if c.shape[1] <= k:
+        return np.zeros(c.shape[0], dtype=bool)
+    f = np.array([math.perm(j, k) for j in range(c.shape[1])], dtype=float)
+    rest = ((np.abs(c) + err) * f)[:, k + 1:].sum(axis=1) + tail
+    return (np.abs(c[:, k]) - err[:, k]) * f[k] > rest
+
+
+def _refine(x: np.ndarray, settle, min_width: float, degree: int):
+    """Bisect the cells of the ascending grid x until settle(a, b) accepts
+    each one.
+
+    Returns the ends of the final cells and the cells given up on (as two
+    arrays of left and right ends): those narrower than min_width, and every
+    live cell once a (zeros x live cells) matrix would outgrow the kernel's
+    broadcast limit (at least 16(d+1) cells are kept).
+    """
+    cap = max(16 * (degree + 1), _BROADCAST_LIMIT // max(degree, 1))
+    a, b = x[:-1], x[1:]
+    ends, left = [x], [np.zeros((2, 0))]
+    while a.size:
+        keep = ~settle(a, b)
+        a, b = a[keep], b[keep]
+        stop = (b - a < min_width) | (2 * a.size > cap)
+        left.append(np.stack([a[stop], b[stop]]))
+        a, b = a[~stop], b[~stop]
+        m = 0.5 * (a + b)
+        ends.append(m)
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+    return np.sort(np.concatenate(ends)), *np.concatenate(left, axis=1)
+
+
+def _settle_cheap_then_full(test, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cells that test(a, b, full) accepts with the cheap _series, or else
+    with the full one."""
+    ok = test(a, b, False)[0]
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        ok[rest] = test(a[rest], b[rest], True)[0]
+    return ok
+
+
+def _sup_abs(P: Polynomial, order: int, I: Interval):
+    """(value, err, argmax) of max |F| on I for F = P (order 0) or P'
+    (order 1); the argmax is the leftmost point within rounding of the
+    maximum.
+
+    The critical points of |F| are the roots of g = (|F|^2)'.  Grid cells
+    are bisected until the Taylor series of |F|^2 on each (_series) proves
+    that g has no root there, or at most one (g' has none, so a root shows
+    as a sign change), or that |F| stays below the maximum found so far
+    plus the radius, as at flat maxima like that of (x^4 - 1)^n at 0.  The
+    roots in sign-change cells are then narrowed.  Any possible excess over
+    the maximum joins the radius: from cells accepted by the last test or
+    given up on, and from the rounding of the values.
+    """
+    d = P.degree - order
+    if P.is_zero or d < 0:
+        return 0.0, 0.0, I.lo
+    scale = abs(P.leading)      # |F|^2 is formed below: keep it in range
+    P = Polynomial(P.leading / scale, P.zeros)
+    xtol = 1e-13 * max(1.0, I.length)
+    rho = 64.0 * (d + 1) * _EPS
+    best, ceiling = 0.0, 0.0
+
+    def test(a, b, full):
+        nonlocal best, ceiling
+        f, err, tail = _series(P, a, b, order, full)
+        best = max(best, float(np.max(np.abs(f[:, 0]) - err[:, 0], initial=0.0)))
+        q, qerr, qtail = _modulus_square(f, err, tail)
+        top = np.sqrt(q[:, 0] + np.sum(np.abs(q[:, 1:]), axis=1)
+                      + np.sum(qerr, axis=1) + qtail[0])
+        flat = top <= best * (1.0 + rho)
+        ceiling = max(ceiling, float(np.max(top[flat], initial=0.0)))
+        return (_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2)
+                | flat), top
+
+    x, la, lb = _refine(_engine_grid(P, I),
+                        lambda a, b: _settle_cheap_then_full(test, a, b),
+                        xtol, P.degree)
+
+    def h(xs):
+        v = _values(P, xs, order + 1)
+        return 2.0 * (np.conj(v[order]) * v[order + 1]).real
+
+    xs = np.concatenate([x, _sign_roots(h, x, h(x), xtol)])
+    vals = np.abs(_values(P, xs, order)[order])
+    # rounding bound of each value; P' = P * sum 1/(x - z_i) can cancel
+    M, E = _majorants(P, xs - xtol, xs + xtol, 1)
+    value = float(np.max(vals))
+    if la.size:
+        ceiling = float(np.maximum(ceiling, np.max(test(la, lb, False)[1])))
+    excess = max(ceiling, float(np.max(vals + 4.0 * (P.degree + 2) * _EPS * M * E[order])))
+    if not (np.all(np.isfinite(vals)) and np.isfinite(excess)):
+        raise OverflowEvaluationError("sup-norm evaluation")
+    argmax = float(np.min(xs[vals >= value * (1.0 - 64.0 * _EPS)]))
+    return scale * value, scale * (rho * value + excess - value), argmax
+
+
+def sup_norm(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
+    """Certified max of |P| over I."""
+    v, e, _ = _sup_abs(P, 0, I)
+    return CertifiedValue(v, e, "critical-points")
+
+
+def argmax_abs(P: Polynomial, I: Interval = Interval()) -> float:
+    """Leftmost certified maximizer of |P| on I (deterministic tie-break)."""
+    return _sup_abs(P, 0, I)[2]
+
+
+def sup_norm_derivative(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
+    """Certified max of |P'| over I, from the zero list of P."""
+    v, e, _ = _sup_abs(P, 1, I)
+    return CertifiedValue(v, e, "critical-points")
+
+
+def argmax_abs_derivative(P: Polynomial, I: Interval = Interval()) -> float:
+    """Leftmost certified maximizer of |P'| on I."""
+    return _sup_abs(P, 1, I)[2]
 
 
 def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """V_a^b(P) = integral of |P'|, summed exactly between critical points.
 
-    Requires P real-valued on I (checked at probe points) and degree <= 60.
+    Requires P real-valued on I (checked at probe points).  Grid cells are
+    bisected until the Taylor series of P on each (_series) proves it holds
+    no root of P' or at most one, or that the variation it can hide,
+    2r sup|P'|, is below rounding.  The sign changes of P' are narrowed to
+    1e-12 and the cell ends stay in as breakpoints.  The variation hidden
+    in cells, also in cells given up on, joins the radius.
     """
-    probes = np.linspace(I.lo, I.hi, 5)
-    pv = evaluate_many(P, probes)
+    pv = evaluate_many(P, np.linspace(I.lo, I.hi, 5))
     if np.any(np.abs(pv.imag) > 1e-9 * (1.0 + np.abs(pv))):
         raise ValueError("total_variation requires a real-valued polynomial "
                          "on the interval")
     if P.is_zero or P.degree == 0:
         return CertifiedValue(0.0, 0.0, "critical-points")
-    dP = derivative(P)
-    c = expand(dP)
-    dReal = RealPolynomial(tuple(c.real))
     tol = 1e-12
-    pts = [I.lo, I.hi]
-    if not dReal.is_zero and dReal.degree >= 1:
-        rl = real_roots(dReal, I, tol,
-                        refine_fn=lambda xs: derivative_values(P, xs).real)
-        pts.extend(rl.roots)
-    pts = np.unique(np.clip(np.asarray(pts, dtype=float), I.lo, I.hi))
+    hidden = 0.0
+
+    def test(a, b, full):
+        nonlocal hidden
+        c, err, tail = _series(P, a, b, 0, full)
+        c = c.real
+        hide = 2.0 * ((np.abs(c) + err) @ np.arange(c.shape[1]) + tail[1])
+        flat = hide <= 16.0 * _EPS * (1.0 + np.abs(c[:, 0]))
+        hidden += float(np.sum(hide[flat]))
+        return (_no_root(c, err, tail[1], 1) | _no_root(c, err, tail[2], 2)
+                | flat), hide
+
+    x, la, lb = _refine(_engine_grid(P, I),
+                        lambda a, b: _settle_cheap_then_full(test, a, b),
+                        tol, P.degree)
+    dv = derivative_values(P, x).real
+    roots = _sign_roots(lambda xs: derivative_values(P, xs).real, x, dv, tol)
+    pts = np.unique(np.clip(np.concatenate([x, roots]), I.lo, I.hi))
     vals = evaluate_many(P, pts).real
     tv = float(np.sum(np.abs(np.diff(vals))))
-    md = sup_norm(dP, I).value if dP.degree <= EXPANSION_CAP else float(np.max(np.abs(c))) * len(c)
+    md = float(np.max(np.abs(dv)))
     err = 2.0 * len(pts) * (tol * md + 16.0 * _EPS * (1.0 + float(np.max(np.abs(vals)))))
-    return CertifiedValue(tv, err, "critical-points")
+    if la.size:
+        hidden += float(np.sum(test(la, lb, False)[1]))
+    return CertifiedValue(tv, err + hidden, "critical-points")

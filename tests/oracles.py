@@ -2,8 +2,12 @@
 
 Everything here is deliberately naive: dense grids, scipy quadrature, and
 closed forms worked out by hand.  Nothing imports the certified code paths
-under test (only the polynomial container, for evaluation).
+under test (only the polynomial container, for evaluation); the zero-list
+oracles at the end use numpy alone, the last one exact rational arithmetic.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -109,3 +113,105 @@ def squared_argument_min_ratio(n, scan=721, m=20_001, zooms=6,
         vals = ratios(phis, ys)
         best, step = phis[np.argmin(vals)], step / 10.0
     return float(np.min(vals))
+
+
+# ----------------------------------------------------------------------
+# Zero-list oracles: numpy only, no turanlab code at all, so they stay
+# independent of the package's evaluation kernel.
+
+def _point_blocks(npts, nzeros, block=1 << 19):
+    step = max(1, block // max(nzeros, 1))
+    for s in range(0, npts, step):
+        yield slice(s, min(s + step, npts))
+
+
+def zero_list_values(lead, zeros, xs):
+    """lead * prod (x - z) by the plain product."""
+    z = np.asarray(zeros, dtype=complex)
+    x = np.asarray(xs, dtype=float)
+    out = np.empty(x.size, dtype=complex)
+    for b in _point_blocks(x.size, z.size):
+        out[b] = lead * np.prod(x[b][None, :] - z[:, None], axis=0)
+    return out
+
+
+def zero_list_derivative(lead, zeros, xs):
+    """lead * sum_i prod_{j != i} (x - z_j) from prefix and suffix
+    products: no division, no special case at a zero."""
+    z = np.asarray(zeros, dtype=complex)
+    x = np.asarray(xs, dtype=float)
+    out = np.zeros(x.size, dtype=complex)
+    if z.size == 0:
+        return out
+    for b in _point_blocks(x.size, 3 * z.size):
+        diffs = x[b][None, :] - z[:, None]
+        pre = np.ones_like(diffs)
+        suf = np.ones_like(diffs)
+        pre[1:] = np.cumprod(diffs[:-1], axis=0)
+        suf[:-1] = np.cumprod(diffs[::-1], axis=0)[:-1][::-1]
+        out[b] = lead * np.sum(pre * suf, axis=0)
+    return out
+
+
+def zero_list_grid_max(lead, zeros, order, m=100_001, lo=-1.0, hi=1.0):
+    """max |P| (order 0) or |P'| (order 1) over m uniform points: a lower
+    bound on the sup norm."""
+    xs = np.linspace(lo, hi, m)
+    f = zero_list_values if order == 0 else zero_list_derivative
+    return float(np.max(np.abs(f(lead, zeros, xs))))
+
+
+def zero_list_sup_upper(lead, zeros, order, per_degree=32):
+    """Ehlich-Zeller upper bound on max |P^(order)| over [-1, 1]: for the
+    real polynomial g = |P^(order)|^2 of degree D and m > D,
+    ||g|| <= max_j g(cos(j pi / m)) / cos(D pi / (2 m))."""
+    D = 2 * (len(zeros) - order)
+    if D <= 0:
+        return abs(lead) * (1 if order == 0 else len(zeros))
+    m = per_degree * D
+    xs = np.cos(np.pi * np.arange(m + 1) / m)
+    f = zero_list_values if order == 0 else zero_list_derivative
+    top = float(np.max(np.abs(f(lead, zeros, xs))))
+    return top / np.sqrt(np.cos(D * np.pi / (2.0 * m))) * (1.0 + 1e-12)
+
+
+def zero_list_level_measure(zeros, level, small, m=200_001):
+    """(measure, boundaries, step) of {|P'/P| <= level} (small) or
+    {|P'/P| >= level} on [-1, 1] from m uniform points, |P'/P| being
+    |sum 1/(x - z)| (+inf on a zero).  A cell with both ends in the set
+    counts fully, a cell with one end in counts half and holds a boundary,
+    so the grid measure is good to one step per boundary."""
+    z = np.asarray(zeros, dtype=complex)
+    xs = np.linspace(-1.0, 1.0, m)
+    s = np.empty(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b in _point_blocks(m, z.size):
+            diffs = xs[b][None, :] - z[:, None]
+            v = np.abs(np.sum(1.0 / diffs, axis=0))
+            v[np.any(diffs == 0, axis=0)] = np.inf
+            s[b] = v
+    inside = s <= level if small else s >= level
+    both = np.count_nonzero(inside[:-1] & inside[1:])
+    mixed = np.count_nonzero(inside[:-1] != inside[1:])
+    h = 2.0 / (m - 1)
+    return h * (both + 0.5 * mixed), int(mixed), h
+
+
+def exact_derivative_abs(lead, zeros, x):
+    """|P'(x)| for the zeros exactly as stored (doubles read as rationals):
+    the product rule runs through the factors in rational complex
+    arithmetic, so nothing rounds until the final square root."""
+    def rational(v):
+        v = complex(v)
+        return Fraction(v.real), Fraction(v.imag)
+
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    p, dp = rational(lead), (Fraction(0), Fraction(0))
+    for z in zeros:
+        zr, zi = rational(z)
+        t = (Fraction(float(x)) - zr, -zi)
+        q = mul(dp, t)
+        p, dp = mul(p, t), (q[0] + p[0], q[1] + p[1])
+    return math.sqrt(float(dp[0] ** 2 + dp[1] ** 2))

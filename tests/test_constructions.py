@@ -151,3 +151,12 @@ def test_thm24_pipeline_identities():
         rhs = 2.0 * xs * derivative_values(R, xs * xs)
         scale = max(1.0, float(np.max(np.abs(lhs))))
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9 * scale)
+
+
+def test_remark_family_above_degree_60():
+    # degree 80: |P'| peaks inside (0, 1), where the old grid backend ran
+    # out of memory
+    rep = remark_family(0.5, 20)
+    assert rep.P.degree == 80
+    assert rep.ratio.err <= 1e-9 * rep.ratio.value
+    assert rep.details["argmax_deviation"] <= 1e-6

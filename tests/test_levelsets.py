@@ -21,7 +21,11 @@ from turanlab import (
     ClassSpec,
 )
 
-from oracles import grid_measure_large_logderiv, grid_measure_small_logderiv
+from oracles import (
+    grid_measure_large_logderiv,
+    grid_measure_small_logderiv,
+    zero_list_level_measure,
+)
 
 # frozen ahead of implementation: |2x/(x^2-1)| >= 100 near +-1 gives
 # intervals of half-width 1 - r where r solves r^2 + (2/100) r - 1 = 0
@@ -182,3 +186,46 @@ def test_mean_value_window():
         P = sample(ClassSpec(n, 0), seed=900 + i)
         rep = mean_value_window_check(P)
         assert rep.satisfied, (i, rep)
+
+
+def _d2_input(i):
+    """Half-disk zeros clustered towards the positive real axis, degree
+    15-30, with delta = 0.05 * 2^(i % 5)."""
+    rng = np.random.default_rng(1000 + i)
+    d = int(rng.integers(15, 31))
+    c = rng.choice([1e-4, 1e-2, 1.0], size=d)
+    theta = rng.uniform(0.0, np.pi, d) * c
+    zeros = np.sqrt(rng.uniform(0.0, 1.0, d)) * np.exp(1j * theta)
+    return zeros, 0.05 * 2.0 ** (i % 5)
+
+
+def _agrees_with_grid(measure, zeros, level, small):
+    grid, boundaries, h = zero_list_level_measure(zeros, level, small)
+    assert measure.err <= 1e-9, measure
+    return abs(measure.value - grid) <= measure.err + h * (boundaries + 2)
+
+
+def test_small_measure_near_real_clusters_match_grid():
+    # the |Q'|^2 - c^2 |Q|^2 coefficient route got 56 of these 60 wrong
+    for i in range(60):
+        zeros, delta = _d2_input(i)
+        rep = small_logderiv_measure(from_zeros(1.0, zeros), delta)
+        assert _agrees_with_grid(rep.measure, zeros, len(zeros) * delta, True), (i, rep)
+
+
+def test_small_measure_benign_degree_28_is_empty():
+    Q = sample(ClassSpec(28, 0), seed=11)
+    delta = math.sqrt(12 / 28)
+    rep = small_logderiv_measure(Q, delta)
+    assert zero_list_level_measure(Q.zeros, 28 * delta, True)[0] == 0.0
+    assert _agrees_with_grid(rep.measure, Q.zeros, 28 * delta, True), rep
+
+
+def test_level_measures_above_degree_30():
+    Q = sample(ClassSpec(45, 0), seed=3)
+    rep = small_logderiv_measure(Q, 1.5)
+    assert rep.measure.value > 1.0
+    assert _agrees_with_grid(rep.measure, Q.zeros, 45 * 1.5, True), rep
+    rep = large_logderiv_measure(Q, 60.0)
+    assert rep.measure.value > 0.5
+    assert _agrees_with_grid(rep.measure, Q.zeros, 60.0, False), rep

@@ -1,6 +1,7 @@
 """Certified sup norms, argmax, root isolation, total variation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,16 +9,24 @@ import pytest
 from turanlab import (
     Interval,
     argmax_abs,
-    derivative,
     from_zeros,
     real_roots,
     sup_norm,
     sup_norm_derivative,
     total_variation,
+    turan_ratio,
 )
 from turanlab.poly import expand
 
-from oracles import grid_sup, grid_sup_slack, quad_total_variation
+from oracles import (
+    exact_derivative_abs,
+    grid_sup,
+    grid_sup_slack,
+    quad_total_variation,
+    zero_list_grid_max,
+    zero_list_sup_upper,
+    zero_list_values,
+)
 
 # hand-computed values frozen before the implementation existed
 TV_CUBIC = 1.539600717839002          # V(x^3 - x) on [-1,1] = 8/(3*sqrt(3))
@@ -64,16 +73,16 @@ def test_sup_norm_contains_grid_max():
 
 def test_certified_grid_method_agrees_with_critical_points():
     P = from_zeros(1.0, np.linspace(-0.9, 0.9, 12))
-    a = sup_norm(P, method="critical-points")
-    b = sup_norm(P, method="certified-grid")
-    assert abs(a.value - b.value) <= a.err + b.err + 1e-9
-    assert b.method == "certified-grid"
+    a = sup_norm(P)
+    g = grid_sup(P)
+    assert a.value + a.err >= g - 1e-12
+    assert a.value - a.err <= g + grid_sup_slack(P) + 1e-12
 
 
 def test_sup_norm_derivative_high_degree():
     # degree 80 stays beyond the expansion cap; derivative norm must not expand
     P = from_zeros(1.0, [1.0, -1.0] * 40)
-    cv = sup_norm_derivative(P, tol=1e-6)
+    cv = sup_norm_derivative(P)
     xs = np.linspace(-1, 1, 200_001)
     from turanlab.poly import derivative_values
     g = float(np.max(np.abs(derivative_values(P, xs))))
@@ -143,3 +152,98 @@ def test_total_variation_vs_quadrature():
 def test_certified_value_err_nonnegative():
     cv = sup_norm(from_zeros(1.0, [0.3, -0.4, 0.9j]))
     assert cv.err >= 0.0
+
+
+def _d1_zeros(seed, lo=20, hi=61):
+    """Near-real zero clusters: real parts U(-1.2, 1.2), imaginary parts
+    c * N(0, 1) with c drawn per zero from {1e-6, 1e-3, 0.05, 0.5}."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(lo, hi))
+    c = rng.choice([1e-6, 1e-3, 0.05, 0.5], size=d)
+    return rng.uniform(-1.2, 1.2, d) + 1j * c * rng.normal(0.0, 1.0, d)
+
+
+def test_sup_norms_on_near_real_clusters_reach_grid_max():
+    # the re-factored derivative used to miss |P'| by up to 3.7e-2 here
+    for i in range(0, 300, 5):
+        zeros = _d1_zeros(i)
+        P = from_zeros(1.0, zeros)
+        for order, fn in ((0, sup_norm), (1, sup_norm_derivative)):
+            cv = fn(P)
+            assert cv.err <= 1e-9 * cv.value, (i, order, cv)
+            assert cv.value + cv.err >= zero_list_grid_max(1.0, zeros, order), (i, order)
+            assert cv.value - cv.err <= zero_list_sup_upper(1.0, zeros, order), (i, order)
+
+
+def test_turan_ratio_radius_is_relative_at_high_degree():
+    # ||P|| is tiny here; an absolute tolerance made the radius vacuous
+    zeros = _d1_zeros(5000, 80, 201)
+    cv = turan_ratio(from_zeros(1.0, zeros))
+    assert cv.err <= 1e-9 * cv.value, cv
+    lower = zero_list_grid_max(1.0, zeros, 1) / zero_list_sup_upper(1.0, zeros, 0)
+    upper = zero_list_sup_upper(1.0, zeros, 1) / zero_list_grid_max(1.0, zeros, 0)
+    assert lower - cv.err <= cv.value <= upper + cv.err, (lower, cv, upper)
+
+
+def test_turan_ratio_flat_interior_peak_closed_form():
+    # (x^2 - 1)^40 peaks flat at x = 0; its ratio is known in closed form
+    m = 40
+    t0 = time.monotonic()
+    cv = turan_ratio(from_zeros(1.0, [1.0, -1.0] * m))
+    elapsed = time.monotonic() - t0
+    exact = 2 * m / math.sqrt(2 * m - 1) * ((2 * m - 2) / (2 * m - 1)) ** (m - 1)
+    assert abs(cv.value - exact) <= cv.err + 1e-12 * exact, (cv, exact)
+    assert elapsed < 1.0
+
+
+def test_total_variation_counts_a_bump_inside_one_grid_cell():
+    # P = u^3 - 1e-4 u with u = x - 0.05: both critical points, 0.05 -+
+    # 0.01/sqrt(3), fall in one cell of the 32-cell grid, where P' has the
+    # same sign at both ends; missing them drops 1.54e-6 of variation
+    zeros = [0.04, 0.05, 0.06]
+    crit = [0.05 - 0.01 / math.sqrt(3), 0.05 + 0.01 / math.sqrt(3)]
+    vals = zero_list_values(1.0, zeros, [-1.0] + crit + [1.0]).real
+    exact = float(np.sum(np.abs(np.diff(vals))))
+    cv = total_variation(from_zeros(1.0, zeros))
+    assert cv.err <= 1e-9
+    assert abs(cv.value - exact) <= cv.err, (cv, exact)
+
+
+def test_sup_norm_maximum_beside_a_minimum_in_one_grid_cell():
+    # |P| has maxima at 0.0069 and 0.0264 around a shallow minimum at
+    # 0.0207, all in the grid cell [0, 0.0327]; a far zero at 1e5 lifts
+    # the left maximum 2e-7 above the right one.  (|P|^2)' changes sign
+    # once across the cell, so a plain sign scan narrows one of the three
+    # roots and can miss the left maximum.
+    b2 = 1.0 / 4.002
+    c = 0.018
+    zeros = ([c + 1j * math.sqrt(b2), c - 1j * math.sqrt(b2)]
+             + [c + 1.0] * 4 + [c - 1.0] * 4 + [1e5])
+    cv = sup_norm(from_zeros(1e-5, zeros))
+    assert cv.err <= 1e-9 * cv.value, cv
+    assert cv.value + cv.err >= zero_list_grid_max(1e-5, zeros, 0, m=200_001)
+    assert cv.value - cv.err <= zero_list_sup_upper(1e-5, zeros, 0)
+
+
+def test_flat_maximum_and_flat_critical_point_keep_tight_radii():
+    # |P| = (1 - x^4)^n on [-1, 1] for P = (x^4 - 1)^n: the maximum at 0 is
+    # flat to fourth order, and so is the critical point of P there, so no
+    # bound on derivatives at cell midpoints settles the cells around it
+    t0 = time.monotonic()
+    cv = sup_norm(from_zeros(1.0, [1.0, -1.0, 1j, -1j] * 20))
+    tv = total_variation(from_zeros(1.0, [1.0, -1.0, 1j, -1j] * 3))
+    elapsed = time.monotonic() - t0
+    assert abs(cv.value - 1.0) <= cv.err <= 1e-9, cv
+    assert abs(tv.value - 2.0) <= tv.err <= 1e-8, tv
+    assert elapsed < 1.0
+
+
+def test_sup_norm_derivative_radius_covers_a_cancelling_sum():
+    # near 0, P' = P * sum 1/(x - z_i) of (z^6 - 1)^12 sums 72 terms of size
+    # about 1 to about 2e-6, so its rounding is far above 64(d+1) eps |P'|;
+    # |P'| grows on the interval, so the maximum sits at its right end
+    zeros = np.tile(np.exp(2j * np.pi * np.arange(6) / 6), 12)
+    I = Interval(0.007462307854148698, 0.030223166425331183)
+    cv = sup_norm_derivative(from_zeros(1.0, zeros), I)
+    exact = exact_derivative_abs(1.0, zeros, I.hi)
+    assert abs(cv.value - exact) <= cv.err, (cv, exact)
