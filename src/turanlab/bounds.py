@@ -20,7 +20,7 @@ import numpy as np
 from .classes import ClassSpec, is_member
 from .errors import MembershipError, RegimeError
 from .poly import Interval, Polynomial
-from .supnorm import CertifiedValue, sup_norm, sup_norm_derivative
+from .supnorm import CertifiedValue, _sup_abs
 
 KOMAROV_A = 2.0 / (3.0 * math.sqrt(210.0 * math.e))  # 0.02790306...
 
@@ -50,16 +50,16 @@ class Verdict:
 
 
 def turan_ratio(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
-    """||P'||_I / ||P||_I with propagated error radius."""
+    """||P'||_I / ||P||_I with propagated error radius; both norms come
+    from one pass of the sup engine."""
     if P.is_zero:
         raise ValueError("ratio undefined for the zero polynomial")
-    num = sup_norm_derivative(P, I)
-    den = sup_norm(P, I)
-    if den.value <= 0:
+    (den, den_err, _), (num, num_err, _) = _sup_abs(P, I, (0, 1))
+    if den <= 0:
         raise ValueError("vanishing sup-norm denominator")
-    value = num.value / den.value
-    err = (num.err + value * den.err) / max(den.value - den.err, 1e-300)
-    return CertifiedValue(value, err, num.method)
+    value = num / den
+    err = (num_err + value * den_err) / max(den - den_err, 1e-300)
+    return CertifiedValue(value, err, "critical-points")
 
 
 def turan11_lower(n: int) -> float:

@@ -96,12 +96,15 @@ def thm24_construct(n: int, k: int,
         return float(np.max(weight * np.abs(c @ dbasis))) / den
 
     best = None  # ((certified value, coeff norm), Q, R, P, ratio)
+    ratios = {}  # the ratio does not depend on the scale of Q: one per zero list
     for c in restart_descents(objective, k, cfg):
         Q = incomplete_from_coeffs(c, m)
         if Q is None:
             continue
         R, P = _squared_argument(Q)
-        ratio = turan_ratio(P)
+        if Q.zeros not in ratios:
+            ratios[Q.zeros] = turan_ratio(P)
+        ratio = ratios[Q.zeros]
         key = (ratio.value, float(np.linalg.norm(c)))
         if best is None or key < best[0]:
             best = (key, Q, R, P, ratio)

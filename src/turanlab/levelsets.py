@@ -29,9 +29,8 @@ from .supnorm import (
     CertifiedValue,
     _engine_grid,
     _refine,
-    argmax_abs,
+    _sup_abs,
     sup_norm,
-    sup_norm_derivative,
 )
 
 # level-set cells narrower than this are classified by their midpoint
@@ -263,18 +262,16 @@ def mean_value_window_check(P: Polynomial, I: Interval = Interval(),
                             samples: int = 200) -> MeanValueReport:
     """Around a maximizer x0 of |P|, check |P(y)| >= ||P||/2 for
     |y - x0| <= 1/(2M) with M = ||P'||/||P||."""
-    den = sup_norm(P, I)
-    if den.value == 0:
+    (den, _, x0), (num, _, _) = _sup_abs(P, I, (0, 1))
+    if den == 0:
         raise ValueError("needs a nonzero polynomial")
-    num = sup_norm_derivative(P, I)
-    M = num.value / den.value
-    x0 = argmax_abs(P, I)
+    M = num / den
     half_width = 0.5 / M if M > 0 else (I.hi - I.lo)
     window = Interval(max(I.lo, x0 - half_width), min(I.hi, x0 + half_width))
     ys = np.linspace(window.lo, window.hi, samples)
     min_abs = float(np.min(np.abs(evaluate_many(P, ys))))
-    ok = min_abs >= 0.5 * den.value - 1e-9 * (1.0 + den.value)
-    return MeanValueReport(M, window, min_abs, 0.5 * den.value, ok)
+    ok = min_abs >= 0.5 * den - 1e-9 * (1.0 + den)
+    return MeanValueReport(M, window, min_abs, 0.5 * den, ok)
 
 
 def logderiv_values(P: Polynomial, xs) -> np.ndarray:

@@ -32,8 +32,7 @@ from .poly import Interval, Polynomial, evaluate, from_zeros
 from .supnorm import (
     CertifiedValue,
     _cheb_grid,
-    sup_norm,
-    sup_norm_derivative,
+    _sup_abs,
     total_variation,
 )
 
@@ -307,21 +306,21 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
         if Q is None or not incomplete_member(Q, spec):
             return
         interval = Interval(0.0, 1.0)
-        num = sup_norm_derivative(Q, interval)
-        if denominator == "point":
-            den_v = abs(evaluate(Q, 1.0))
-            den_e = 16 * np.finfo(float).eps * den_v
-        elif denominator == "sup":
-            d = sup_norm(Q, interval)
-            den_v, den_e = d.value, d.err
+        if denominator == "sup":
+            (den_v, den_e, _), (num_v, num_e, _) = _sup_abs(Q, interval, (0, 1))
         else:
-            d = total_variation(Q, interval)
-            den_v, den_e = d.value, d.err
+            num_v, num_e, _ = _sup_abs(Q, interval, (1,))[0]
+            if denominator == "point":
+                den_v = abs(evaluate(Q, 1.0))
+                den_e = 16 * np.finfo(float).eps * den_v
+            else:
+                d = total_variation(Q, interval)
+                den_v, den_e = d.value, d.err
         if den_v <= 0:
             return
-        value = num.value / den_v
-        err = (num.err + value * den_e) / max(den_v - den_e, 1e-300)
-        cert = CertifiedValue(value, err, num.method)
+        value = num_v / den_v
+        err = (num_e + value * den_e) / max(den_v - den_e, 1e-300)
+        cert = CertifiedValue(value, err, "critical-points")
         key = (cert.value, float(np.linalg.norm(c)))
         if best is None or key < best[0]:
             best = (key, tuple(float(v) for v in c), Q, cert)

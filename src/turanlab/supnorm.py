@@ -1,18 +1,20 @@
 """Certified sup-norms on intervals, real-root isolation, total variation.
 
-One engine computes ``max |F|`` over an interval for F = P or F = P', at
-any degree, from the zero list alone.  The real critical points of |F|^2
-are the roots of h = 2 Re(conj(F) F').  The 8d+8-cell Chebyshev grid of the
+One engine computes ``max |F|`` over an interval for F = P, F = P' or
+both together, at any degree, from the zero list alone; one pass certifies
+||P|| and ||P'|| for the ratio.  The real critical points of |F|^2 are the
+roots of h = 2 Re(conj(F) F').  The 8d+8-cell Chebyshev grid of the
 interval (d = deg P) is refined until bounds taken from the zero list prove
-that each cell holds at most one root of h, or no value of |F| above the
-maximum found so far; a sign scan of h over the final cells then finds
-every root that matters, and each is narrowed by Illinois steps (regula
-falsi, safeguarded by bisection).  The maximum of |F| over the cell ends
-and those roots, all evaluated in factored form, is the value; its radius
-is 64(d+1) eps times the value, plus the rounding bound of the values
-(P' = P sum 1/(x - z_i) can cancel) and whatever a flat maximum or a cell
-given up on could still hide.  Total variation uses the same cell test on
-the roots of P'.
+that each cell holds, for every F asked for, at most one root of h, or no
+value of |F| above the maximum found so far; the Taylor series of P on a
+cell is built once and gives those of P and P'.  A sign scan of each h over
+the final cells then finds every root that matters, and all of them are
+narrowed together by Illinois steps (regula falsi, safeguarded by
+bisection).  The maximum of |F| over the cell ends and its roots, all
+evaluated in factored form, is the value; its radius is 64(d+1) eps times
+the value, plus the rounding bound of the values (P' = P sum 1/(x - z_i)
+can cancel) and whatever a flat maximum or a cell given up on could still
+hide.  Total variation uses the same cell test on the roots of P'.
 """
 
 from __future__ import annotations
@@ -154,13 +156,17 @@ def _sign_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> np.ndarray:
     return _narrow(f, x[i], x[i + 1], fx[i], fx[i + 1], xtol)
 
 
-def _narrow(f, a, b, fa, fb, xtol: float) -> np.ndarray:
+def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
     """Midpoints of the brackets [a, b] of roots of f (fa, fb the values at
     their ends, of opposite signs or zero) once narrowed to width <= xtol.
+    Brackets of several functions narrow together when labelled by which:
+    f(c, which) then gives the value of each point's own function.
 
     Illinois steps (false position, halving the value kept at the same end
     twice in a row) run in lockstep over all brackets; a bracket that has
-    not halved within three steps bisects next.
+    not halved within three steps bisects next.  Regula falsi closes in on
+    a root from one side, so once the estimate has settled, a second probe
+    just past it closes the bracket instead of the slow far end.
     """
     kept = np.zeros(a.size, dtype=int)     # -1: a kept last step, +1: b kept
     ref, age = b - a, np.zeros(a.size, dtype=int)
@@ -169,20 +175,39 @@ def _narrow(f, a, b, fa, fb, xtol: float) -> np.ndarray:
         if live.size == 0:
             break
         A, B, FA, FB = a[live], b[live], fa[live], fb[live]
+        K = kept[live]
         with np.errstate(divide="ignore", invalid="ignore"):
             c = (A * FB - B * FA) / (FB - FA)
         bisect = (age[live] >= 3) | ~((c > A) & (c < B))
         c = np.where(bisect, 0.5 * (A + B), c)
-        fc = f(c)
+        # once the estimate lands within 1e3 xtol of a bracket end (the one
+        # it set last step; the superlinear steps make its error below
+        # xtol/2 by then), a second probe xtol/2 past it, on the side the
+        # root has kept to, closes the bracket at once (on a first step
+        # K = 0 puts that probe on c, where it changes nothing)
+        near = np.flatnonzero(np.minimum(c - A, B - c) <= 1e3 * xtol)
+        pts, k = c, live
+        if near.size:
+            pts = np.concatenate([c, c[near] + 0.5 * xtol * K[near]])
+            k = np.concatenate([live, live[near]])
+        fp = f(pts) if which is None else f(pts, which[k])
+        fc = fp[:live.size]
         right = np.sign(fc) == np.sign(FA)          # root in [c, B]
         hit = fc == 0
-        FB = np.where(right & (kept[live] == 1), 0.5 * FB, FB)
-        FA = np.where(~right & (kept[live] == -1), 0.5 * FA, FA)
+        FB = np.where(right & (K == 1), 0.5 * FB, FB)
+        FA = np.where(~right & (K == -1), 0.5 * FA, FA)
         a[live] = np.where(right | hit, c, A)
         b[live] = np.where(right & ~hit, B, c)
         fa[live] = np.where(right, fc, FA)
         fb[live] = np.where(right, FB, fc)
         kept[live] = np.where(right, 1, -1)
+        if near.size:
+            j, c2, f2 = live[near], pts[live.size:], fp[live.size:]
+            inside = (a[j] < c2) & (c2 < b[j])
+            up = inside & (np.sign(f2) == np.sign(fa[j]))      # root in [c2, b]
+            down = inside & ~up
+            a[j], fa[j] = np.where(up, c2, a[j]), np.where(up, f2, fa[j])
+            b[j], fb[j] = np.where(down, c2, b[j]), np.where(down, f2, fb[j])
         w = b[live] - a[live]
         reset = bisect | (w <= 0.5 * ref[live])
         ref[live] = np.where(reset, w, ref[live])
@@ -218,16 +243,18 @@ def _majorants(P: Polynomial, a: np.ndarray, b: np.ndarray, kmax: int):
     return M, E
 
 
-def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, order: int, full: bool):
-    """(f, err, tail) for F = P^(order) on the cells [a, b], x = m + r tau.
+def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
+    """[(f, err, tail) for F = P^(o), o in the ascending orders] on the
+    cells [a, b], x = m + r tau.
 
-    P(m + r tau) is expanded factor by factor from the zero list, so no
-    expanded form cancels; f holds its Taylor coefficients in tau (then
-    those of F), err their rounding bounds (4(d+2) eps M (r E_1)^j for P),
-    and tail[k] bounds the k-th tau-derivative (k = 0, 1, 2) of the
-    remainder for tau in [-1, 1].  The cheap form keeps the terms up to
-    tau^3 and bounds the rest by sup|P''''| <= 24 M E_4 (_majorants); the
-    full form keeps all of them, at O(d^2) per cell.
+    P(m + r tau) is expanded once, factor by factor from the zero list, so
+    no expanded form cancels, and each order is derived from it by the
+    shift; f holds the Taylor coefficients of F in tau, err their rounding
+    bounds (4(d+2) eps M (r E_1)^j for P), and tail[k] bounds the k-th
+    tau-derivative (k = 0, 1, 2) of the remainder for tau in [-1, 1].  The
+    cheap form keeps the terms up to tau^3 and bounds the rest by
+    sup|P''''| <= 24 M E_4 (_majorants); the full form keeps all of them,
+    at O(d^2) per cell.
     """
     m, r = 0.5 * (a + b), (0.5 * (b - a))[:, None]
     M, E = _majorants(P, a, b, 4)
@@ -238,15 +265,19 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, order: int, full: bool)
         t = (m - z)[:, None]
         c[:, 1:] = c[:, 1:] * t + c[:, :-1] * r
         c[:, :1] *= t
-    n = 4 - order           # the remainder of F starts at tau^n
-    tail = np.array([r[:, 0] ** n * 24.0 * M * E[4] / math.factorial(n - k)
-                     for k in range(3)]) * (terms <= P.degree)
     err = (4.0 * (P.degree + 2) * _EPS * M[:, None]
            * (r * E[1][:, None]) ** np.arange(c.shape[1]))
-    for _ in range(order):
-        j = np.arange(1, c.shape[1])
-        c, err = c[:, 1:] * j / r, err[:, 1:] * j / r
-    return c, err, tail
+    out = []
+    for order in range(orders[-1] + 1):
+        if order:
+            j = np.arange(1, c.shape[1])
+            c, err = c[:, 1:] * j / r, err[:, 1:] * j / r
+        if order in orders:
+            n = 4 - order       # the remainder of F starts at tau^n
+            tail = np.array([r[:, 0] ** n * 24.0 * M * E[4] / math.factorial(n - k)
+                             for k in range(3)]) * (terms <= P.degree)
+            out.append((c, err, tail))
+    return out
 
 
 def _square(c: np.ndarray, conj: bool = True) -> np.ndarray:
@@ -322,83 +353,105 @@ def _settle_cheap_then_full(test, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _sup_abs(P: Polynomial, order: int, I: Interval):
-    """(value, err, argmax) of max |F| on I for F = P (order 0) or P'
-    (order 1); the argmax is the leftmost point within rounding of the
-    maximum.
+def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
+    """[(value, err, argmax)] of max |F| on I for F = P^(o), o in orders
+    ((0,), (1,) or (0, 1)), certified in one pass; each argmax is the
+    leftmost point within rounding of its maximum.
 
     The critical points of |F| are the roots of g = (|F|^2)'.  Grid cells
-    are bisected until the Taylor series of |F|^2 on each (_series) proves
-    that g has no root there, or at most one (g' has none, so a root shows
-    as a sign change), or that |F| stays below the maximum found so far
-    plus the radius, as at flat maxima like that of (x^4 - 1)^n at 0.  The
-    roots in sign-change cells are then narrowed.  Any possible excess over
-    the maximum joins the radius: from cells accepted by the last test or
-    given up on, and from the rounding of the values.
+    are bisected until, for every order, the Taylor series of |F|^2 on each
+    (_series, built once for all orders) proves that g has no root there,
+    or at most one (g' has none, so a root shows as a sign change), or that
+    |F| stays below the maximum found so far plus the radius, as at flat
+    maxima like that of (x^4 - 1)^n at 0.  A half of a cell keeps what was
+    proven on the whole, so a cell one order bisects still serves the
+    other.  The roots in sign-change cells of all orders are then narrowed
+    together, and each maximum is taken over the cell ends and all those
+    roots.  Any possible excess over each maximum joins its radius: from
+    cells accepted by the last test or given up on, and from the rounding
+    of the values.
     """
-    d = P.degree - order
-    if P.is_zero or d < 0:
-        return 0.0, 0.0, I.lo
+    out = {o: (0.0, 0.0, I.lo) for o in orders}
+    orders = [o for o in orders if not P.is_zero and P.degree >= o]
+    if not orders:
+        return list(out.values())
     scale = abs(P.leading)      # |F|^2 is formed below: keep it in range
     P = Polynomial(P.leading / scale, P.zeros)
     xtol = 1e-13 * max(1.0, I.length)
-    rho = 64.0 * (d + 1) * _EPS
-    best, ceiling = 0.0, 0.0
+    rho = [64.0 * (P.degree - o + 1) * _EPS for o in orders]
+    best, ceiling = [0.0] * len(orders), [0.0] * len(orders)
 
     def test(a, b, full):
-        nonlocal best, ceiling
-        f, err, tail = _series(P, a, b, order, full)
-        best = max(best, float(np.max(np.abs(f[:, 0]) - err[:, 0], initial=0.0)))
-        q, qerr, qtail = _modulus_square(f, err, tail)
-        top = np.sqrt(q[:, 0] + np.sum(np.abs(q[:, 1:]), axis=1)
-                      + np.sum(qerr, axis=1) + qtail[0])
-        flat = top <= best * (1.0 + rho)
-        ceiling = max(ceiling, float(np.max(top[flat], initial=0.0)))
-        return (_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2)
-                | flat), top
+        ok, tops = np.ones(a.size, dtype=bool), []
+        for i, (f, err, tail) in enumerate(_series(P, a, b, orders, full)):
+            best[i] = max(best[i], float(np.max(np.abs(f[:, 0]) - err[:, 0], initial=0.0)))
+            q, qerr, qtail = _modulus_square(f, err, tail)
+            top = np.sqrt(q[:, 0] + np.sum(np.abs(q[:, 1:]), axis=1)
+                          + np.sum(qerr, axis=1) + qtail[0])
+            flat = top <= best[i] * (1.0 + rho[i])
+            ceiling[i] = max(ceiling[i], float(np.max(top[flat], initial=0.0)))
+            ok &= (_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2)
+                   | flat)
+            tops.append(top)
+        return ok, tops
 
     x, la, lb = _refine(_engine_grid(P, I),
                         lambda a, b: _settle_cheap_then_full(test, a, b),
                         xtol, P.degree)
-
-    def h(xs):
-        v = _values(P, xs, order + 1)
-        return 2.0 * (np.conj(v[order]) * v[order + 1]).real
-
-    xs = np.concatenate([x, _sign_roots(h, x, h(x), xtol)])
-    vals = np.abs(_values(P, xs, order)[order])
-    # rounding bound of each value; P' = P * sum 1/(x - z_i) can cancel
-    M, E = _majorants(P, xs - xtol, xs + xtol, 1)
-    value = float(np.max(vals))
     if la.size:
-        ceiling = float(np.maximum(ceiling, np.max(test(la, lb, False)[1])))
-    excess = max(ceiling, float(np.max(vals + 4.0 * (P.degree + 2) * _EPS * M * E[order])))
-    if not (np.all(np.isfinite(vals)) and np.isfinite(excess)):
-        raise OverflowEvaluationError("sup-norm evaluation")
-    argmax = float(np.min(xs[vals >= value * (1.0 - 64.0 * _EPS)]))
-    return scale * value, scale * (rho * value + excess - value), argmax
+        ceiling = [max(c, float(np.max(t)))
+                   for c, t in zip(ceiling, test(la, lb, False)[1])]
+
+    # the sign changes of h = 2 Re(conj(F) F') for every F, labelled by order
+    def h(xs, o=None):          # o = None: the highest order
+        v = _values(P, xs, orders[-1] + 1)
+        hv = 2.0 * (np.conj(v[:-1]) * v[1:]).real
+        return hv[-1] if o is None else hv[o, np.arange(xs.size)]
+
+    v = _values(P, x, orders[-1] + 1)
+    hx = 2.0 * (np.conj(v[:-1]) * v[1:]).real
+    sx = np.sign(hx[orders])
+    row, cell = np.nonzero(sx[:, :-1] * sx[:, 1:] < 0)
+    which = np.asarray(orders)[row]
+    roots = _narrow(h, x[cell], x[cell + 1], hx[which, cell], hx[which, cell + 1],
+                    xtol, which if len(orders) > 1 else None)
+    # every order takes its maximum over all these points (more points can
+    # only raise it); the rounding bound of each value joins the radius, as
+    # P' = P * sum 1/(x - z_i) can cancel
+    pts = np.concatenate([x, roots])
+    vals = np.abs(np.hstack([v[:-1], _values(P, roots, orders[-1])]))
+    M, E = _majorants(P, pts - xtol, pts + xtol, 1)
+    for i, o in enumerate(orders):
+        value = float(np.max(vals[o]))
+        bound = vals[o] + 4.0 * (P.degree + 2) * _EPS * M * E[o]
+        excess = max(ceiling[i], float(np.max(bound)))
+        if not (np.all(np.isfinite(vals[o])) and np.isfinite(excess)):
+            raise OverflowEvaluationError("sup-norm evaluation")
+        argmax = float(np.min(pts[vals[o] >= value * (1.0 - 64.0 * _EPS)]))
+        out[o] = scale * value, scale * (rho[i] * value + excess - value), argmax
+    return list(out.values())
 
 
 def sup_norm(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """Certified max of |P| over I."""
-    v, e, _ = _sup_abs(P, 0, I)
+    v, e, _ = _sup_abs(P, I, (0,))[0]
     return CertifiedValue(v, e, "critical-points")
 
 
 def argmax_abs(P: Polynomial, I: Interval = Interval()) -> float:
     """Leftmost certified maximizer of |P| on I (deterministic tie-break)."""
-    return _sup_abs(P, 0, I)[2]
+    return _sup_abs(P, I, (0,))[0][2]
 
 
 def sup_norm_derivative(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """Certified max of |P'| over I, from the zero list of P."""
-    v, e, _ = _sup_abs(P, 1, I)
+    v, e, _ = _sup_abs(P, I, (1,))[0]
     return CertifiedValue(v, e, "critical-points")
 
 
 def argmax_abs_derivative(P: Polynomial, I: Interval = Interval()) -> float:
     """Leftmost certified maximizer of |P'| on I."""
-    return _sup_abs(P, 1, I)[2]
+    return _sup_abs(P, I, (1,))[0][2]
 
 
 def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
@@ -422,7 +475,7 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
 
     def test(a, b, full):
         nonlocal hidden
-        c, err, tail = _series(P, a, b, 0, full)
+        c, err, tail = _series(P, a, b, (0,), full)[0]
         c = c.real
         hide = 2.0 * ((np.abs(c) + err) @ np.arange(c.shape[1]) + tail[1])
         flat = hide <= 16.0 * _EPS * (1.0 + np.abs(c[:, 0]))

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: dense grids, scipy quadrature, and
 closed forms worked out by hand.  Nothing imports the certified code paths
-under test (only the polynomial container, for evaluation); the zero-list
-oracles at the end use numpy alone, the last one exact rational arithmetic.
+under test (only the polynomial container, for evaluation); the quadrature
+and the zero-list oracles at the end use numpy alone, the last one exact
+rational arithmetic.
 """
 
 import math
@@ -47,14 +48,21 @@ def grid_ratio(P, interval=Interval(), m=200_001):
 def quad_total_variation(P, interval=Interval()):
     """Adaptive quadrature of |P'| over the interval.
 
-    scipy.integrate.quad handles the |.| kinks well enough once we feed it
-    the real part (the suites only use real-coefficient instances).
+    |P'| comes from the numpy-only product rule on the zero list
+    (zero_list_derivative), not from the package.  quad starts from a
+    uniform 64d-cell split of the interval, so a feature narrower than the
+    first samples of a single adaptive pass (a bump between close zeros)
+    still falls in a cell of its own width.
     """
+    cells = 64 * max(P.degree, 1)
+    breaks = np.linspace(interval.lo, interval.hi, cells + 1)[1:-1]
+
     def speed(x):
-        return abs(derivative_values(P, np.array([x]))[0])
+        return abs(zero_list_derivative(P.leading, P.zeros, [x])[0])
 
     val, est_err = integrate.quad(speed, interval.lo, interval.hi,
-                                  limit=400, epsabs=1e-12, epsrel=1e-12)
+                                  points=breaks, limit=4 * cells,
+                                  epsabs=1e-12, epsrel=1e-12)
     return val, est_err
 
 

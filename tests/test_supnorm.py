@@ -7,22 +7,28 @@ import numpy as np
 import pytest
 
 from turanlab import (
+    ClassSpec,
     Interval,
     argmax_abs,
+    argmax_abs_derivative,
     from_zeros,
     real_roots,
+    remark_family,
+    sample,
     sup_norm,
     sup_norm_derivative,
     total_variation,
     turan_ratio,
 )
-from turanlab.poly import expand
+from turanlab.poly import Polynomial, expand
+from turanlab.supnorm import _narrow
 
 from oracles import (
     exact_derivative_abs,
     grid_sup,
     grid_sup_slack,
     quad_total_variation,
+    zero_list_derivative,
     zero_list_grid_max,
     zero_list_sup_upper,
     zero_list_values,
@@ -247,3 +253,110 @@ def test_sup_norm_derivative_radius_covers_a_cancelling_sum():
     cv = sup_norm_derivative(from_zeros(1.0, zeros), I)
     exact = exact_derivative_abs(1.0, zeros, I.hi)
     assert abs(cv.value - exact) <= cv.err, (cv, exact)
+
+
+def test_quadrature_oracle_sees_a_bump_inside_one_grid_cell():
+    # the oracle behind criterion 8 used to return 2.0148 here (estimated
+    # error 2.2e-14) by stepping over the bump between 0.0442 and 0.0558
+    zeros = [0.04, 0.05, 0.06]
+    crit = [0.05 - 0.01 / math.sqrt(3), 0.05 + 0.01 / math.sqrt(3)]
+    vals = zero_list_values(1.0, zeros, [-1.0] + crit + [1.0]).real
+    exact = float(np.sum(np.abs(np.diff(vals))))
+    ref, _ = quad_total_variation(from_zeros(1.0, zeros))
+    assert abs(ref - exact) <= 1e-9, (ref, exact)
+
+
+def _one_pass_agrees(P, I=Interval()):
+    """turan_ratio certifies ||P|| and ||P'|| in one engine pass; it must
+    agree with the single-order norms within the stated radii, and each
+    argmax must attain its norm within the radius."""
+    n0, n1 = sup_norm(P, I), sup_norm_derivative(P, I)
+    cv = turan_ratio(P, I)
+    q = n1.value / n0.value
+    assert abs(cv.value - q) <= cv.err + (n1.err + q * n0.err) / (n0.value - n0.err), (cv, q)
+    for x, n, f in ((argmax_abs(P, I), n0, zero_list_values),
+                    (argmax_abs_derivative(P, I), n1, zero_list_derivative)):
+        assert I.lo <= x <= I.hi
+        at = abs(f(P.leading, P.zeros, [x])[0])
+        assert abs(at - n.value) <= n.err + 1e-12 * n.value, (x, at, n)
+    return cv, n0, n1
+
+
+def test_one_pass_agrees_with_single_orders_on_near_real_clusters():
+    for i in range(0, 300, 5):
+        cv, _, _ = _one_pass_agrees(from_zeros(1.0, _d1_zeros(i)))
+        assert cv.err <= 1e-9 * cv.value, (i, cv)
+
+
+@pytest.mark.parametrize("case", ["remark", "flat", "pinned150"])
+def test_one_pass_at_high_degree_matches_zero_list_oracles(case):
+    if case == "remark":         # degree 80, |P| peaks inside
+        P = remark_family(0.5, 20).P
+    elif case == "flat":         # (x^2 - 1)^40
+        P = from_zeros(1.0, [1.0, -1.0] * 40)
+    else:                        # |P'| peaks at -0.98
+        P = sample(ClassSpec(150, 130, pin_interval_zero=True), seed=240)
+        assert -0.99 < argmax_abs_derivative(P) < -0.97
+    assert P.degree >= 80
+    cv, n0, n1 = _one_pass_agrees(P)
+    lead, zeros = P.leading, P.zeros
+    for order, n in ((0, n0), (1, n1)):
+        assert n.err <= 1e-9 * n.value, (order, n)
+        assert n.value + n.err >= zero_list_grid_max(lead, zeros, order), order
+        assert n.value - n.err <= zero_list_sup_upper(lead, zeros, order), order
+    lower = zero_list_grid_max(lead, zeros, 1) / zero_list_sup_upper(lead, zeros, 0)
+    upper = zero_list_sup_upper(lead, zeros, 1) / zero_list_grid_max(lead, zeros, 0)
+    assert cv.err <= 1e-9 * cv.value, cv
+    assert lower - cv.err <= cv.value <= upper + cv.err, (lower, cv, upper)
+
+
+def test_one_pass_with_huge_leading_coefficient():
+    zeros = _d1_zeros(10)
+    cv, n0, n1 = _one_pass_agrees(from_zeros(1e200, zeros))
+    unit = turan_ratio(from_zeros(1.0, zeros))
+    assert abs(cv.value - unit.value) <= cv.err + unit.err, (cv, unit)
+    assert n0.err <= 1e-9 * n0.value and n1.err <= 1e-9 * n1.value
+    assert n0.value + n0.err >= zero_list_grid_max(1e200, zeros, 0)
+
+
+def test_one_pass_degenerate_cases():
+    I = Interval(-0.5, 2.0)
+    const = from_zeros(3.0, [])                 # P' = 0
+    cv, n0, n1 = _one_pass_agrees(const, I)
+    assert (cv.value, cv.err, n0.value, n1.value) == (0.0, 0.0, 3.0, 0.0)
+    assert argmax_abs_derivative(const, I) == I.lo
+    linear = from_zeros(2.0, [0.3])             # P' = 2 everywhere
+    cv, n0, n1 = _one_pass_agrees(linear, I)
+    assert n1.value == pytest.approx(2.0, abs=1e-14)
+    assert n0.value == pytest.approx(3.4, abs=1e-14)
+    assert cv.value == pytest.approx(2.0 / 3.4, abs=cv.err + 1e-15)
+    zero = Polynomial.zero()
+    assert sup_norm(zero, I).value == sup_norm_derivative(zero, I).value == 0.0
+    assert argmax_abs(zero, I) == argmax_abs_derivative(zero, I) == I.lo
+    with pytest.raises(ValueError):
+        turan_ratio(zero, I)
+
+
+
+def test_narrow_closes_labelled_brackets_to_xtol():
+    # the sup engine narrows the brackets of h for P and for P' in one
+    # lockstep loop, telling them apart by a label; every bracket must end
+    # at width <= xtol around its own function's root
+    xtol = 1e-13
+    funcs = (lambda x: x ** 3 - 2.0,            # root 2^(1/3)
+             lambda x: np.exp(x) - 3.0,          # root ln 3
+             lambda x: np.tan(x) - 0.5)          # root atan(1/2)
+    exact = np.array([2.0 ** (1 / 3), math.log(3.0), math.atan(0.5)])
+    which = np.array([0, 1, 2, 0, 1, 2])
+    a = np.array([1.0, 0.5, 0.0, 1.25, 1.0, 0.4])
+    b = np.array([2.0, 1.5, 1.0, 1.26, 1.1, 0.5])
+
+    def f(c, w):
+        return np.choose(w, [g(c) for g in funcs])
+
+    mids = _narrow(f, a.copy(), b.copy(), f(a, which), f(b, which), xtol, which)
+    slack = xtol / 2 + 4 * np.finfo(float).eps
+    assert np.all(np.abs(mids - exact[which]) <= slack), mids - exact[which]
+    one = _narrow(funcs[2], a[2:3].copy(), b[2:3].copy(), funcs[2](a[2:3]),
+                  funcs[2](b[2:3]), xtol)
+    assert abs(one[0] - exact[2]) <= slack
