@@ -37,7 +37,6 @@ from .constructions import (
     thm24_construct,
 )
 from .errors import (
-    DegreeCapError,
     MembershipError,
     OverflowEvaluationError,
     RegimeError,
@@ -59,18 +58,14 @@ from .levelsets import (
     small_logderiv_measure,
 )
 from .poly import (
-    EXPANSION_CAP,
     Interval,
     Polynomial,
-    RealPolynomial,
     conjugate,
     derivative_values,
     evaluate,
     evaluate_many,
-    expand,
     from_payload,
     from_zeros,
-    modulus_square_on_reals,
     to_payload,
 )
 from .search import (
@@ -84,10 +79,8 @@ from .search import (
 )
 from .supnorm import (
     CertifiedValue,
-    RootList,
     argmax_abs,
     argmax_abs_derivative,
-    real_roots,
     sup_norm,
     sup_norm_derivative,
     total_variation,

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classes import ClassSpec, is_member
 from .errors import MembershipError, RegimeError
 from .poly import Interval, Polynomial
@@ -57,6 +55,12 @@ def turan_ratio(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     (den, den_err, _), (num, num_err, _) = _sup_abs(P, I, (0, 1))
     if den <= 0:
         raise ValueError("vanishing sup-norm denominator")
+    return _quotient(num, num_err, den, den_err)
+
+
+def _quotient(num: float, num_err: float, den: float,
+              den_err: float) -> CertifiedValue:
+    """num/den (den > 0) with the radius propagated from both radii."""
     value = num / den
     err = (num_err + value * den_err) / max(den - den_err, 1e-300)
     return CertifiedValue(value, err, "critical-points")

@@ -18,7 +18,7 @@ from . import bounds as _bounds
 from . import constructions as _constructions
 from . import levelsets as _levelsets
 from . import search as _search
-from .classes import ClassSpec, IncompleteSpec, sample
+from .classes import ClassSpec, sample
 from .errors import TuranLabError
 from .poly import Interval, from_payload, from_zeros, to_payload
 from .search import SearchConfig
@@ -218,11 +218,7 @@ def _cmd_construct(args) -> int:
         print(json.dumps({"written": [f"{args.out}_{s}.json" for s in "QRP"]},
                          sort_keys=True))
     else:
-        if args.format == "csv":
-            keys = sorted(obj)
-            _emit_csv(keys, [[obj[k] for k in keys]], None)
-        else:
-            _emit_json(obj, None)
+        _emit_report(obj, args)
     return 0
 
 

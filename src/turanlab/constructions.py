@@ -25,7 +25,12 @@ from .bounds import turan_ratio, turan11_lower
 from .classes import ClassSpec, MembershipReport, is_member
 from .errors import RegimeError, SearchFailure
 from .poly import Interval, Polynomial, from_zeros
-from .search import SearchConfig, incomplete_from_coeffs, restart_descents
+from .search import (
+    SearchConfig,
+    _normal_starts,
+    incomplete_from_coeffs,
+    restart_descents,
+)
 from .supnorm import CertifiedValue, argmax_abs_derivative, sup_norm
 
 
@@ -74,8 +79,6 @@ def thm24_construct(n: int, k: int,
     """
     if not (1 <= k and 2 * k <= n):
         raise RegimeError(f"needs 1 <= k <= n/2, got n={n}, k={k}")
-    if n > 30:
-        raise ValueError("construction supports n <= 30")
     m = n - k
     # |Q'| peaks within ~1/n of y = 1; at 256n+1 points the grid maxima sit
     # within ~1e-7 relative of the true ones, so the descent lands on the
@@ -97,7 +100,8 @@ def thm24_construct(n: int, k: int,
 
     best = None  # ((certified value, coeff norm), Q, R, P, ratio)
     ratios = {}  # the ratio does not depend on the scale of Q: one per zero list
-    for c in restart_descents(objective, k, cfg):
+    for c in restart_descents(objective, _normal_starts(k, cfg), cfg.budget,
+                              xatol=1e-11):
         Q = incomplete_from_coeffs(c, m)
         if Q is None:
             continue

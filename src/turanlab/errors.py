@@ -5,18 +5,6 @@ class TuranLabError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class DegreeCapError(TuranLabError):
-    """Raised when an operation would need expanded coefficients past the cap."""
-
-    def __init__(self, degree, cap):
-        self.degree = degree
-        self.cap = cap
-        super().__init__(
-            f"degree {degree} exceeds the expansion cap {cap}; "
-            "factored-form operations remain available"
-        )
-
-
 class RegimeError(TuranLabError):
     """Raised when (n, k) falls outside a bound's hypothesis region."""
 

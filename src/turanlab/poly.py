@@ -1,15 +1,12 @@
-"""Factored and expanded polynomial representations.
+"""Factored polynomial representation and its value kernel.
 
-The factored form (leading coefficient plus zero multiset) is the source
-of truth everywhere in this package: evaluating ``leading * prod(x - z_i)``
+The factored form (leading coefficient plus zero multiset) is the only
+representation in this package: evaluating ``leading * prod(x - z_i)``
 directly keeps the relative error near machine precision even when the
 expanded coefficients would cancel catastrophically (think zeros packed
 inside [-1,1] at degree 30, where the sup-norm is ~2^(1-n)).  Every
 certified number is computed from the zero list, at any degree, through
 the value kernel here, which also gives P' and P'' without expanding.
-Expansion to coefficients (``expand``, ``modulus_square_on_reals``) is a
-utility for callers that want a coefficient equation; it is capped at
-degree 60, past which double-precision coefficient growth is unreliable.
 """
 
 from __future__ import annotations
@@ -18,10 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DegreeCapError, OverflowEvaluationError
-
-EXPANSION_CAP = 60
 
 # Above this many (zeros x points) entries, factored evaluation streams
 # over the zeros instead of building the full broadcast matrix.
@@ -78,37 +71,6 @@ class Polynomial:
 
     def __call__(self, x):
         return evaluate(self, x)
-
-
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Real-coefficient polynomial, ascending power order."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        cs = [float(c) for c in self.coeffs]
-        while len(cs) > 1 and cs[-1] == 0.0:
-            cs.pop()
-        if not cs:
-            cs = [0.0]
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-
-    def derivative(self) -> "RealPolynomial":
-        if self.degree == 0:
-            return RealPolynomial((0.0,))
-        return RealPolynomial(tuple(np.polynomial.polynomial.polyder(np.asarray(self.coeffs))))
 
 
 def from_zeros(leading, zeros) -> Polynomial:
@@ -192,29 +154,6 @@ def evaluate(P: Polynomial, x) -> complex:
 def derivative_values(P: Polynomial, xs) -> np.ndarray:
     """Values of P' at xs from the zero list, exact at points on a zero."""
     return _values(P, xs, 1)[1]
-
-
-def expand(P: Polynomial) -> np.ndarray:
-    """Ascending complex coefficients; raises past the expansion cap."""
-    if P.is_zero:
-        return np.zeros(1, dtype=complex)
-    if P.degree > EXPANSION_CAP:
-        raise DegreeCapError(P.degree, EXPANSION_CAP)
-    c = np.array([P.leading], dtype=complex)
-    for z in P.zeros:
-        c = np.convolve(c, np.array([-z, 1.0], dtype=complex))
-    if not np.all(np.isfinite(c)):
-        raise OverflowEvaluationError("coefficient expansion")
-    return c
-
-
-def modulus_square_on_reals(P: Polynomial) -> RealPolynomial:
-    """Coefficients of P(x) * conj(P)(x); equals |P(x)|^2 for real x."""
-    if P.is_zero:
-        return RealPolynomial((0.0,))
-    c = expand(P)
-    g = np.convolve(c, np.conj(c))
-    return RealPolynomial(tuple(g.real))
 
 
 def to_payload(P: Polynomial) -> dict:

@@ -18,7 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
-from .bounds import BoundBracket, bracket_pass, lemma34_bracket, thm21_bracket, turan_ratio
+from .bounds import (
+    BoundBracket,
+    _quotient,
+    bracket_pass,
+    lemma34_bracket,
+    thm21_bracket,
+    turan_ratio,
+)
 from .classes import (
     ClassSpec,
     IncompleteSpec,
@@ -36,14 +43,17 @@ from .supnorm import (
     total_variation,
 )
 
+# Nelder-Mead: initial simplex x0 + _SIMPLEX_SCALE * e_i, and the spread of
+# simplex values at which a descent stops.
+_SIMPLEX_SCALE = 0.3
+_FATOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     budget: int = 20_000      # objective evaluations per restart
     restarts: int = 32
     seed: int = 0
-    simplex_scale: float = 0.3
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.budget < 1 or self.restarts < 1:
@@ -132,13 +142,10 @@ def _warm_param_starts(spec: ClassSpec) -> list:
 
 def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Estimate the infimum of ||P'||/||P|| over the class via restarts."""
-    if spec.n > 30:
-        raise ValueError("search supports n <= 30")
     if spec.n == 0:
         raise SearchFailure("class of constants has no meaningful ratio")
     interval = Interval()
     xs = _cheb_grid(interval.lo, interval.hi, max(64, 16 * spec.n))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
 
     trace = []
     evals = 0
@@ -162,47 +169,34 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
         warm_vals.append(cert.value)
         consider(P, cert, None)
 
-    warm_starts = _warm_param_starts(spec)
-    dim = 2 * spec.n
-    for r in range(cfg.restarts):
-        if r < len(warm_starts):
-            x0 = warm_starts[r]
-        else:
-            x0 = np.empty(dim)
-            nc = spec.n - spec.k
-            for i in range(spec.n):
-                if i < nc:
-                    x0[2 * i] = rng.uniform(0.0, 1.0)
-                    x0[2 * i + 1] = rng.uniform(0.0, math.pi)
-                else:
-                    x0[2 * i] = rng.normal(0.0, 1.0)
-                    x0[2 * i + 1] = rng.normal(0.0, 1.0)
-            if spec.pin_interval_zero:
-                x0[0] = rng.uniform(-1.0, 1.0)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+    starts = _warm_param_starts(spec)[: cfg.restarts]
+    nc = spec.n - spec.k
+    while len(starts) < cfg.restarts:
+        x0 = np.empty(2 * spec.n)
+        for i in range(spec.n):
+            if i < nc:
+                x0[2 * i] = rng.uniform(0.0, 1.0)
+                x0[2 * i + 1] = rng.uniform(0.0, math.pi)
+            else:
+                x0[2 * i] = rng.normal(0.0, 1.0)
+                x0[2 * i + 1] = rng.normal(0.0, 1.0)
+        if spec.pin_interval_zero:
+            x0[0] = rng.uniform(-1.0, 1.0)
+        starts.append(x0)
 
-        count = 0
-        local_best = math.inf
+    def objective(p):
+        nonlocal evals, best_est
+        evals += 1
+        v = _fast_ratio(1.0, _zeros_from_params(p, spec), xs)
+        if v < best_est:
+            best_est = v
+            trace.append((evals, v))
+        return v
 
-        def objective(p):
-            nonlocal count, evals, local_best, best_est
-            count += 1
-            evals += 1
-            v = _fast_ratio(1.0, _zeros_from_params(p, spec), xs)
-            if v < local_best:
-                local_best = v
-                if v < best_est:
-                    best_est = v
-                    trace.append((evals, v))
-            return v
-
-        sim = np.vstack([x0] + [x0 + cfg.simplex_scale * e
-                                for e in np.eye(dim)])
-        res = _nm_minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxfev": cfg.budget, "xatol": 1e-10,
-                                    "fatol": max(cfg.tol * 1e-2, 1e-13),
-                                    "initial_simplex": sim})
-        P = embed(res.x, spec)
-        consider(P, turan_ratio(P, interval), np.asarray(res.x))
+    for x in restart_descents(objective, starts, cfg.budget, xatol=1e-10):
+        P = embed(x, spec)
+        consider(P, turan_ratio(P, interval), np.asarray(x))
 
     if best is None:
         raise SearchFailure("no feasible evaluation within budget")
@@ -233,22 +227,25 @@ def incomplete_from_coeffs(c, m: int) -> Polynomial | None:
     return from_zeros(c[-1], tuple(np.zeros(m + 1)) + tuple(roots))
 
 
-def restart_descents(objective, dim: int, cfg: SearchConfig):
-    """Yield the end point of each of cfg.restarts Nelder-Mead descents of
-    ``objective`` over R^dim.  The first descent starts at e_1, the others
-    at standard normal draws from the Philox stream keyed by cfg.seed; each
-    gets cfg.budget evaluations."""
+def _normal_starts(dim: int, cfg: SearchConfig) -> list:
+    """cfg.restarts start points in R^dim: e_1, then standard normal draws
+    from the Philox stream keyed by cfg.seed."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     starts = [np.eye(dim)[0]]
     while len(starts) < cfg.restarts:
         starts.append(rng.normal(0.0, 1.0, dim))
-    for x0 in starts[: cfg.restarts]:
-        sim = np.vstack([x0] + [x0 + cfg.simplex_scale * e
-                                for e in np.eye(dim)])
+    return starts
+
+
+def restart_descents(objective, starts, budget: int, xatol: float):
+    """Yield the end point of a Nelder-Mead descent of ``objective`` from
+    each start point, each with ``budget`` evaluations."""
+    for x0 in starts:
+        sim = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e
+                                for e in np.eye(x0.size)])
         res = _nm_minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxfev": cfg.budget, "xatol": 1e-11,
-                                    "fatol": max(cfg.tol * 1e-2, 1e-13),
-                                    "initial_simplex": sim})
+                           options={"maxfev": budget, "xatol": xatol,
+                                    "fatol": _FATOL, "initial_simplex": sim})
         yield res.x
 
 
@@ -265,8 +262,6 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
     if denominator not in ("point", "variation", "sup"):
         raise ValueError(f"unknown denominator variant: {denominator!r}")
     m, k = spec.n, spec.k
-    if m + k > 30:
-        raise ValueError("search supports total degree <= 30")
     xs = np.linspace(0.0, 1.0, max(129, 16 * (m + k) + 1))
 
     def q_coeffs(c):
@@ -307,7 +302,7 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
             return
         interval = Interval(0.0, 1.0)
         if denominator == "sup":
-            (den_v, den_e, _), (num_v, num_e, _) = _sup_abs(Q, interval, (0, 1))
+            cert = turan_ratio(Q, interval)
         else:
             num_v, num_e, _ = _sup_abs(Q, interval, (1,))[0]
             if denominator == "point":
@@ -316,11 +311,9 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
             else:
                 d = total_variation(Q, interval)
                 den_v, den_e = d.value, d.err
-        if den_v <= 0:
-            return
-        value = num_v / den_v
-        err = (num_e + value * den_e) / max(den_v - den_e, 1e-300)
-        cert = CertifiedValue(value, err, "critical-points")
+            if den_v <= 0:
+                return
+            cert = _quotient(num_v, num_e, den_v, den_e)
         key = (cert.value, float(np.linalg.norm(c)))
         if best is None or key < best[0]:
             best = (key, tuple(float(v) for v in c), Q, cert)
@@ -328,7 +321,8 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
             best_est = cert.value
             trace.append((evals, cert.value))
 
-    for c in restart_descents(fast_obj, k, cfg):
+    for c in restart_descents(fast_obj, _normal_starts(k, cfg), cfg.budget,
+                              xatol=1e-11):
         certify(c)
 
     if best is None:

@@ -1,4 +1,4 @@
-"""Certified sup-norms on intervals, real-root isolation, total variation.
+"""Certified sup-norms on intervals and total variation, from the zero list.
 
 One engine computes ``max |F|`` over an interval for F = P, F = P' or
 both together, at any degree, from the zero list alone; one pass certifies
@@ -29,16 +29,12 @@ from .poly import (
     _BROADCAST_LIMIT,
     Interval,
     Polynomial,
-    RealPolynomial,
     _values,
     derivative_values,
     evaluate_many,
 )
 
 _EPS = float(np.finfo(float).eps)
-
-# Roots closer than this are merged and reported as one multiplicity cluster.
-_CLUSTER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,94 +48,6 @@ class CertifiedValue:
     def __post_init__(self):
         if self.err < 0:
             raise ValueError("error radius must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RootList:
-    roots: tuple
-    residuals: tuple
-    multiplicities: tuple
-
-
-def _polish_roots(f, hints, lo, hi, xtol):
-    """Bracket each hint by a sign change over growing widths and narrow the
-    brackets (_narrow); returns the roots and which were bracketed."""
-    roots = np.unique(np.clip(np.asarray(hints, dtype=float), lo, hi))
-    ends = np.full((4, roots.size), np.nan)       # a, b, f(a), f(b)
-    for w in xtol * 4.0 ** np.arange(40):
-        idx = np.flatnonzero(np.isnan(ends[0]))
-        if idx.size == 0 or w > max(hi - lo, xtol):
-            break
-        a, b = np.clip(roots[idx] - w, lo, hi), np.clip(roots[idx] + w, lo, hi)
-        fa, fb = f(a), f(b)
-        hit = np.sign(fa) * np.sign(fb) <= 0
-        ends[:, idx[hit]] = np.stack([a, b, fa, fb])[:, hit]
-    bracketed = ~np.isnan(ends[0])
-    roots[bracketed] = _narrow(f, *ends[:, bracketed], xtol)
-    return roots, bracketed
-
-
-def real_roots(G: RealPolynomial, I: Interval = Interval(),
-               tol: float = 1e-12) -> RootList:
-    """All real roots of G inside I, bracketed to width <= tol.
-
-    The sign changes of G on a Chebyshev grid are narrowed by Illinois
-    steps (_narrow, as in the sup engine); the companion-matrix eigenvalues
-    near I are further hints, each bracketed by a sign change and narrowed
-    the same way, which catch roots the grid does not separate and
-    even-multiplicity roots.  Roots closer than 1e-9 are merged into one
-    entry with a multiplicity estimate.
-    """
-    if G.is_zero:
-        raise ValueError("real_roots requires a nonzero polynomial")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lo, hi = I.lo, I.hi
-    f = lambda x: np.asarray(G(x), dtype=float)
-    if G.degree == 0:
-        return RootList((), (), ())
-
-    margin = 0.05 * max(1.0, hi - lo)
-    eig = np.atleast_1d(np.polynomial.polynomial.polyroots(np.asarray(G.coeffs)))
-    eig_real = np.array([z.real for z in eig
-                         if abs(z.imag) <= margin
-                         and lo - margin <= z.real <= hi + margin])
-
-    grid = _cheb_grid(lo, hi, max(32, 4 * G.degree + 9))
-    gv = f(grid)
-    found = np.concatenate([_sign_roots(f, grid, gv, tol), grid[gv == 0]])
-    polished, bracketed = _polish_roots(f, eig_real, lo, hi, tol)
-    roots = np.concatenate([found, polished])
-    bracketed = np.concatenate([np.ones(found.size, dtype=bool), bracketed])
-    if roots.size == 0:
-        return RootList((), (), ())
-
-    scale = float(np.max(np.abs(gv))) + float(np.max(np.abs(np.asarray(G.coeffs))))
-    resid = np.abs(f(roots))
-    keep = bracketed | (resid <= 1e-7 * max(scale, 1e-300))
-    roots = roots[keep]
-    resid = resid[keep]
-    order = np.argsort(roots)
-    roots, resid = roots[order], resid[order]
-
-    # Distinct hints converging to one simple root are deduplicated; the
-    # multiplicity estimate comes from the companion-eigenvalue multiset
-    # (an m-fold real root shows up as m eigenvalues splattered around it).
-    out_roots, out_res, out_mult = [], [], []
-    i = 0
-    while i < roots.size:
-        j = i
-        while j + 1 < roots.size and roots[j + 1] - roots[j] <= _CLUSTER_TOL:
-            j += 1
-        pick = i + int(np.argmin(resid[i : j + 1]))
-        rep = float(roots[pick])
-        radius = max(1e-6 * max(1.0, hi - lo), _CLUSTER_TOL)
-        mult = int(np.sum(np.abs(eig_real - rep) <= radius)) if eig_real.size else 0
-        out_roots.append(rep)
-        out_res.append(float(resid[pick]))
-        out_mult.append(max(mult, 1))
-        i = j + 1
-    return RootList(tuple(out_roots), tuple(out_res), tuple(out_mult))
 
 
 def _cheb_grid(lo: float, hi: float, m: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to validate certified routines.
 
-Everything here is deliberately naive: dense grids, scipy quadrature, and
-closed forms worked out by hand.  Nothing imports the certified code paths
+Everything here is deliberately naive: dense grids, fixed Gauss-Kronrod
+quadrature, and closed forms worked out by hand.  Nothing imports the certified code paths
 under test (only the polynomial container, for evaluation); the quadrature
 and the zero-list oracles at the end use numpy alone, the last one exact
 rational arithmetic.
@@ -11,7 +11,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from turanlab.poly import Interval, evaluate_many, derivative_values
 
@@ -45,25 +44,72 @@ def grid_ratio(P, interval=Interval(), m=200_001):
     return float(np.max(dvals) / np.max(vals))
 
 
+# Gauss-Kronrod 21/10 rule on [-1, 1] (QUADPACK qk21): the nonnegative
+# Kronrod nodes, their weights, and the weights of the Gauss nodes, which
+# are the Kronrod nodes of odd index.
+_GK_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208067059728, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_G_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651146])
+_NODES = np.concatenate([-_GK_NODES, _GK_NODES[-2::-1]])            # 21
+_K_WEIGHTS = np.concatenate([_GK_WEIGHTS, _GK_WEIGHTS[-2::-1]])
+_G_FULL = np.zeros(21)
+_G_FULL[1:10:2] = _G_WEIGHTS
+_G_FULL[11:20:2] = _G_WEIGHTS[::-1]
+
+
 def quad_total_variation(P, interval=Interval()):
-    """Adaptive quadrature of |P'| over the interval.
+    """Adaptive Gauss-Kronrod quadrature of |P'| over the interval.
 
     |P'| comes from the numpy-only product rule on the zero list
-    (zero_list_derivative), not from the package.  quad starts from a
-    uniform 64d-cell split of the interval, so a feature narrower than the
-    first samples of a single adaptive pass (a bump between close zeros)
-    still falls in a cell of its own width.
+    (zero_list_derivative), not from the package.  The interval starts as
+    64d uniform cells, so a feature narrower than one pass of samples (a
+    bump between close zeros) still falls in a cell of its own width.  All
+    live cells are evaluated in one batch; a cell whose |K21 - G10| exceeds
+    its width's share of max(1e-12, 1e-12 * |total|) and the rounding level
+    of its own integral is bisected.  Returns the integral and the summed
+    error estimate of the accepted cells.
     """
     cells = 64 * max(P.degree, 1)
-    breaks = np.linspace(interval.lo, interval.hi, cells + 1)[1:-1]
-
-    def speed(x):
-        return abs(zero_list_derivative(P.leading, P.zeros, [x])[0])
-
-    val, est_err = integrate.quad(speed, interval.lo, interval.hi,
-                                  points=breaks, limit=4 * cells,
-                                  epsabs=1e-12, epsrel=1e-12)
-    return val, est_err
+    edges = np.linspace(interval.lo, interval.hi, cells + 1)
+    a, b = edges[:-1], edges[1:]
+    parts, errs = [], []
+    share = None
+    for _ in range(60):
+        half = 0.5 * (b - a)
+        xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES[None, :]
+        f = np.abs(zero_list_derivative(P.leading, P.zeros, xs.ravel()))
+        f = f.reshape(xs.shape)
+        k = half * (f @ _K_WEIGHTS)
+        err = np.abs(k - half * (f @ _G_FULL))
+        if share is None:
+            share = max(1e-12, 1e-12 * abs(math.fsum(k))) / interval.length
+        done = ((err <= share * 2.0 * half)
+                | (err <= 50 * np.finfo(float).eps * k))
+        parts.extend(k[done])
+        errs.extend(err[done])
+        a, b = a[~done], b[~done]
+        if a.size == 0:
+            break
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    else:
+        raise RuntimeError("quadrature did not settle in 60 bisections")
+    return math.fsum(parts), math.fsum(errs)
 
 
 def logderiv_abs(P, xs):

@@ -1,5 +1,7 @@
 """CLI surface: formats, exit codes, determinism, file round-trips."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -118,6 +120,27 @@ def test_construct_writes_chain(capsys, tmp_path):
     for tag in ("Q", "R", "P"):
         payload = json.loads((tmp_path / f"chain_{tag}.json").read_text())
         assert "leading" in payload and "zeros" in payload
+
+
+def test_construct_stdout_json_and_csv(capsys):
+    argv = ("construct", "--n", "2", "--k", "1", "--budget", "400",
+            "--restarts", "2", "--seed", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rep = json.loads(out)
+    assert sorted(rep) == ["P", "Q", "R", "details", "err", "member", "ratio"]
+    assert rep["member"] is True
+    assert rep["ratio"] == pytest.approx(1.539600717839002, rel=1e-9)
+
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert header == sorted(rep)
+    cells = dict(zip(header, row))
+    assert float(cells["ratio"]) == rep["ratio"]
+    assert cells["member"] == "true"
+    assert json.loads(cells["details"]) == rep["details"]
+    assert json.loads(cells["P"]) == rep["P"]
 
 
 def test_remark_json(capsys):

@@ -135,7 +135,7 @@ def test_classical_family_sharpness_law():
 
 def test_thm24_pipeline_identities():
     from turanlab import Interval, sup_norm
-    from turanlab.poly import derivative_values, evaluate_many
+    from turanlab.poly import derivative_values
 
     for n, k in ((6, 1), (10, 2), (9, 4)):
         rep = thm24_construct(n, k, INNER_CFG)

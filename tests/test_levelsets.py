@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from turanlab import (
-    Interval,
     LARGE_SET_CONSTANT,
     MembershipError,
     SMALL_SET_CONSTANT,

@@ -1,4 +1,4 @@
-"""Polynomial container: evaluation, derivatives, expansion, payloads."""
+"""Polynomial container: evaluation, derivatives, payloads."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from turanlab import (
-    DegreeCapError,
     Interval,
     Polynomial,
     conjugate,
@@ -14,13 +13,10 @@ from turanlab import (
     sup_norm_derivative,
     evaluate,
     evaluate_many,
-    expand,
     from_payload,
     from_zeros,
-    modulus_square_on_reals,
     to_payload,
 )
-from turanlab.poly import EXPANSION_CAP, RealPolynomial
 
 
 def test_interval_defaults():
@@ -84,25 +80,12 @@ def test_derivative_values_match_expanded_derivative():
         deg = int(rng.integers(1, 9))
         zeros = rng.uniform(-1.5, 1.5, deg) + 1j * rng.uniform(0, 1.5, deg)
         P = from_zeros(1.0, zeros)
-        c = expand(P)
+        c = np.polynomial.polynomial.polyfromroots(zeros)
         dc = np.polynomial.polynomial.polyder(c)
         xs = rng.uniform(-1, 1, 25)
         ref = np.polynomial.polynomial.polyval(xs, dc)
         got = derivative_values(P, xs)
         assert np.allclose(got, ref, rtol=1e-9, atol=1e-11)
-
-
-def test_expand_known_coefficients():
-    P = from_zeros(1.0, [1.0, -1.0])
-    assert np.allclose(expand(P), [-1.0, 0.0, 1.0])
-    Q = from_zeros(2.0, [0.0, 0.0, 3.0])
-    assert np.allclose(expand(Q), [0.0, 0.0, -6.0, 2.0])
-
-
-def test_expand_degree_cap():
-    P = from_zeros(1.0, [0.1] * (EXPANSION_CAP + 1))
-    with pytest.raises(DegreeCapError):
-        expand(P)
 
 
 def test_derivative_of_zero_and_constant():
@@ -111,37 +94,11 @@ def test_derivative_of_zero_and_constant():
     assert sup_norm_derivative(C).value == 0.0
 
 
-def test_real_polynomial_container():
-    R = RealPolynomial((1.0, 0.0, -2.0, 0.0, 0.0))
-    assert R.degree == 2
-    assert R(1.0) == -1.0
-    assert R.derivative().degree == 1
-
-
 def test_conjugate_flips_zeros():
     P = from_zeros(1 + 2j, [0.5 + 0.5j])
     Q = conjugate(P)
     assert Q.leading == 1 - 2j
     assert Q.zeros == (0.5 - 0.5j,)
-
-
-def test_modulus_square_on_reals():
-    P = from_zeros(1.0, [1j])  # x - i, |P|^2 = x^2 + 1 on the reals
-    msq = modulus_square_on_reals(P)
-    xs = np.linspace(-1, 1, 101)
-    assert np.allclose(msq(xs), xs**2 + 1)
-
-
-def test_modulus_square_random_agrees_with_abs2():
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(77)))
-    for _ in range(10):
-        deg = int(rng.integers(1, 10))
-        zeros = rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg)
-        P = from_zeros(complex(rng.normal(), rng.normal()), zeros)
-        msq = modulus_square_on_reals(P)
-        xs = rng.uniform(-1, 1, 33)
-        want = np.abs(evaluate_many(P, xs)) ** 2
-        assert np.allclose(msq(xs), want, rtol=1e-10, atol=1e-10)
 
 
 def test_payload_round_trip():

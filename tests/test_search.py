@@ -1,6 +1,5 @@
 """Derivative-free minimization of the ratio and the sweep driver."""
 
-import numpy as np
 import pytest
 
 from turanlab import (
@@ -8,10 +7,13 @@ from turanlab import (
     IncompleteSpec,
     SearchConfig,
     SearchFailure,
+    bracket_pass,
     frontier_sweep,
     is_member,
     minimize_incomplete_ratio,
     minimize_ratio,
+    thm21_bracket,
+    thm24_construct,
 )
 
 FAST = SearchConfig(budget=1500, restarts=4, seed=0)
@@ -50,9 +52,21 @@ def test_search_determinism():
     assert a.params == b.params
 
 
-def test_search_rejects_large_n():
-    with pytest.raises(ValueError):
-        minimize_ratio(ClassSpec(31, 0), FAST)
+def test_search_and_construction_run_above_degree_30():
+    cfg = SearchConfig(budget=300, restarts=3, seed=1)
+    spec = ClassSpec(40, 4, pin_interval_zero=True)
+    res = minimize_ratio(spec, cfg)
+    assert is_member(res.best, spec)
+    assert res.within_bracket
+    assert res.ratio.err <= 1e-9 * res.ratio.value
+
+    rep = thm24_construct(40, 2, cfg)
+    assert rep.class_check.ok                      # a member of (80, 4)
+    assert bracket_pass(rep.ratio, thm21_bracket(80, 4))
+    assert rep.ratio.err <= 1e-9 * rep.ratio.value
+
+    table = frontier_sweep([40], [2], cfg)
+    assert len(table.rows) == 1 and table.rows[0].ok
 
 
 def test_search_rejects_constants():

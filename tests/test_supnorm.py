@@ -1,4 +1,4 @@
-"""Certified sup norms, argmax, root isolation, total variation."""
+"""Certified sup norms, argmax, total variation."""
 
 import math
 import time
@@ -12,7 +12,6 @@ from turanlab import (
     argmax_abs,
     argmax_abs_derivative,
     from_zeros,
-    real_roots,
     remark_family,
     sample,
     sup_norm,
@@ -20,7 +19,7 @@ from turanlab import (
     total_variation,
     turan_ratio,
 )
-from turanlab.poly import Polynomial, expand
+from turanlab.poly import Polynomial
 from turanlab.supnorm import _narrow
 
 from oracles import (
@@ -86,45 +85,12 @@ def test_certified_grid_method_agrees_with_critical_points():
 
 
 def test_sup_norm_derivative_high_degree():
-    # degree 80 stays beyond the expansion cap; derivative norm must not expand
     P = from_zeros(1.0, [1.0, -1.0] * 40)
     cv = sup_norm_derivative(P)
     xs = np.linspace(-1, 1, 200_001)
     from turanlab.poly import derivative_values
     g = float(np.max(np.abs(derivative_values(P, xs))))
     assert cv.value + cv.err >= g - 1e-6 * max(1.0, g)
-
-
-def test_real_roots_simple():
-    P = from_zeros(4.0, [0.0, 1.0, -1.0])  # 4x^3 - 4x
-    rl = real_roots(expand_to_G(P))
-    assert np.allclose(rl.roots, [-1.0, 0.0, 1.0], atol=1e-9)
-    assert rl.multiplicities == (1, 1, 1)
-
-
-def expand_to_G(P):
-    from turanlab.poly import RealPolynomial
-    return RealPolynomial(tuple(np.real(expand(P))))
-
-
-def test_real_roots_double_root():
-    from turanlab.poly import RealPolynomial
-    rl = real_roots(RealPolynomial((0.0, 0.0, 1.0)))  # x^2
-    assert len(rl.roots) == 1
-    assert abs(rl.roots[0]) < 1e-8
-    assert rl.multiplicities[0] >= 2
-
-
-def test_real_roots_none():
-    from turanlab.poly import RealPolynomial
-    rl = real_roots(RealPolynomial((1.0, 0.0, 1.0)))  # x^2 + 1
-    assert rl.roots == ()
-
-
-def test_real_roots_endpoint():
-    from turanlab.poly import RealPolynomial
-    rl = real_roots(RealPolynomial((-1.0, 0.0, 1.0)))  # x^2 - 1, roots at ends
-    assert np.allclose(rl.roots, [-1.0, 1.0], atol=1e-10)
 
 
 def test_total_variation_frozen_values():
@@ -263,7 +229,7 @@ def test_quadrature_oracle_sees_a_bump_inside_one_grid_cell():
     vals = zero_list_values(1.0, zeros, [-1.0] + crit + [1.0]).real
     exact = float(np.sum(np.abs(np.diff(vals))))
     ref, _ = quad_total_variation(from_zeros(1.0, zeros))
-    assert abs(ref - exact) <= 1e-9, (ref, exact)
+    assert abs(ref - exact) <= 1e-12, (ref, exact)
 
 
 def _one_pass_agrees(P, I=Interval()):
