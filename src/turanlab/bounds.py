@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classes import ClassSpec, is_member
+from .classes import ClassSpec, _on_interval, is_member
 from .errors import MembershipError, RegimeError
 from .poly import Interval, Polynomial
 from .supnorm import CertifiedValue, _sup_abs
@@ -154,9 +154,7 @@ def evaluate_verdict(P: Polynomial, spec: ClassSpec) -> Verdict:
     ratio = turan_ratio(P)
     brackets = []
     d = P.degree
-    if d >= 1 and all(abs(z.imag) <= spec.geom_tol
-                      and -1.0 - spec.geom_tol <= z.real <= 1.0 + spec.geom_tol
-                      for z in P.zeros):
+    if d >= 1 and all(_on_interval(z) for z in P.zeros):
         brackets.append(BoundBracket(turan11_lower(d), None, "turan11"))
     if spec.k == 0 and spec.n >= 1:
         brackets.append(BoundBracket(komarov_lower(spec.n), None, "komarov"))

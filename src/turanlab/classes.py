@@ -15,6 +15,10 @@ import numpy as np
 from .errors import MembershipError
 from .poly import Polynomial, from_zeros
 
+# how far a zero may sit outside a region (half-disk, interval, point) and
+# still count as inside it
+_GEOM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ClassSpec:
@@ -23,13 +27,10 @@ class ClassSpec:
     n: int
     k: int
     pin_interval_zero: bool = False
-    geom_tol: float = 1e-9
 
     def __post_init__(self):
         if not (0 <= self.k <= self.n):
             raise ValueError(f"need 0 <= k <= n, got n={self.n}, k={self.k}")
-        if self.geom_tol < 0:
-            raise ValueError("geom_tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,13 @@ class MembershipReport:
         return self.ok
 
 
-def in_upper_half_disk(z: complex, tol: float = 1e-9) -> bool:
-    return abs(z) <= 1.0 + tol and z.imag >= -tol
+def in_upper_half_disk(z: complex) -> bool:
+    return abs(z) <= 1.0 + _GEOM_TOL and z.imag >= -_GEOM_TOL
+
+
+def _on_interval(z: complex) -> bool:
+    """z is a real point of [-1, 1], within _GEOM_TOL."""
+    return abs(z.imag) <= _GEOM_TOL and -1.0 - _GEOM_TOL <= z.real <= 1.0 + _GEOM_TOL
 
 
 def is_member(P: Polynomial, spec: ClassSpec) -> MembershipReport:
@@ -66,8 +72,7 @@ def is_member(P: Polynomial, spec: ClassSpec) -> MembershipReport:
     if P.degree > spec.n:
         return MembershipReport(False, (), None,
                                 f"degree {P.degree} exceeds n={spec.n}")
-    tol = spec.geom_tol
-    constrained = tuple(i for i, z in enumerate(P.zeros) if in_upper_half_disk(z, tol))
+    constrained = tuple(i for i, z in enumerate(P.zeros) if in_upper_half_disk(z))
     need = spec.n - spec.k
     if len(constrained) < need:
         return MembershipReport(False, constrained, None,
@@ -75,10 +80,7 @@ def is_member(P: Polynomial, spec: ClassSpec) -> MembershipReport:
                                 f"need {need}")
     pinned = None
     if spec.pin_interval_zero:
-        for i, z in enumerate(P.zeros):
-            if abs(z.imag) <= tol and -1.0 - tol <= z.real <= 1.0 + tol:
-                pinned = i
-                break
+        pinned = next((i for i, z in enumerate(P.zeros) if _on_interval(z)), None)
         if pinned is None:
             return MembershipReport(False, constrained, None,
                                     "no zero on the interval [-1,1]")
@@ -155,11 +157,10 @@ def embed(params, spec: ClassSpec) -> Polynomial:
     return P
 
 
-def incomplete_member(P: Polynomial, spec: IncompleteSpec,
-                      geom_tol: float = 1e-9) -> bool:
+def incomplete_member(P: Polynomial, spec: IncompleteSpec) -> bool:
     if P.is_zero:
         return False
     if P.degree > spec.n + spec.k:
         return False
-    at_origin = sum(1 for z in P.zeros if abs(z) <= geom_tol)
+    at_origin = sum(1 for z in P.zeros if abs(z) <= _GEOM_TOL)
     return at_origin >= spec.n + 1

@@ -23,14 +23,9 @@ import numpy as np
 
 from .bounds import turan_ratio, turan11_lower
 from .classes import ClassSpec, MembershipReport, is_member
-from .errors import RegimeError, SearchFailure
+from .errors import RegimeError
 from .poly import Interval, Polynomial, from_zeros
-from .search import (
-    SearchConfig,
-    _normal_starts,
-    incomplete_from_coeffs,
-    restart_descents,
-)
+from .search import SearchConfig, coefficient_search
 from .supnorm import CertifiedValue, argmax_abs_derivative, sup_norm
 
 
@@ -65,7 +60,7 @@ def thm24_construct(n: int, k: int,
         ||P'||_[-1,1] / ||P||_[-1,1]
             = max_{y in [0,1]} 2 sqrt(1-y) |Q'(y)| / ||Q||_[0,1],
 
-    restarted Nelder-Mead descends a grid estimate of the right side over
+    the coefficient search descends a grid estimate of the right side over
     the coefficients of S, each restart's P is certified with turan_ratio,
     and the lowest certified value wins.  (The weight 2 sqrt(1-y) = 2|x|
     vanishes at y = 1, where ||Q'||_[0,1] is attained, so the unweighted
@@ -79,42 +74,15 @@ def thm24_construct(n: int, k: int,
     """
     if not (1 <= k and 2 * k <= n):
         raise RegimeError(f"needs 1 <= k <= n/2, got n={n}, k={k}")
-    m = n - k
-    # |Q'| peaks within ~1/n of y = 1; at 256n+1 points the grid maxima sit
-    # within ~1e-7 relative of the true ones, so the descent lands on the
-    # true optimum of S to that accuracy.
-    ys = np.linspace(0.0, 1.0, 256 * n + 1)
-    expo = np.arange(m + 1, n + 1)[:, None]
-    basis = ys ** expo                        # y^(m+1+j), j < k
-    dbasis = expo * ys ** (expo - 1)
-    weight = 2.0 * np.sqrt(1.0 - ys)
 
-    def objective(c):
-        scale = float(np.max(np.abs(c)))
-        if scale <= 0:
-            return 1e18
-        den = float(np.max(np.abs(c @ basis)))
-        if den <= 1e-14 * scale * len(ys):
-            return 1e18
-        return float(np.max(weight * np.abs(c @ dbasis))) / den
+    def weighted(ys):
+        weight = 2.0 * np.sqrt(1.0 - ys)
+        return lambda q, dq: (float(np.max(weight * np.abs(dq))),
+                              float(np.max(np.abs(q))))
 
-    best = None  # ((certified value, coeff norm), Q, R, P, ratio)
-    ratios = {}  # the ratio does not depend on the scale of Q: one per zero list
-    for c in restart_descents(objective, _normal_starts(k, cfg), cfg.budget,
-                              xatol=1e-11):
-        Q = incomplete_from_coeffs(c, m)
-        if Q is None:
-            continue
-        R, P = _squared_argument(Q)
-        if Q.zeros not in ratios:
-            ratios[Q.zeros] = turan_ratio(P)
-        ratio = ratios[Q.zeros]
-        key = (ratio.value, float(np.linalg.norm(c)))
-        if best is None or key < best[0]:
-            best = (key, Q, R, P, ratio)
-    if best is None:
-        raise SearchFailure("no feasible evaluation within budget")
-    _, Q, R, P, ratio = best
+    (ratio, Q, _), _, _ = coefficient_search(
+        n - k, k, cfg, weighted, lambda Q: turan_ratio(_squared_argument(Q)[1]))
+    R, P = _squared_argument(Q)
 
     check = is_member(P, ClassSpec(2 * n, 2 * k, pin_interval_zero=True))
     a = argmax_abs_derivative(P, Interval(0.0, 1.0))

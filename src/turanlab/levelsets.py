@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import ClassSpec, is_member
+from .classes import _GEOM_TOL, ClassSpec, is_member
 from .errors import MembershipError
-from .poly import (
-    Interval,
-    Polynomial,
-    derivative_values,
-    evaluate_many,
-    from_zeros,
-)
+from .poly import Interval, Polynomial, _values, evaluate_many, from_zeros
 from .supnorm import (
     _EPS,
     CertifiedValue,
@@ -193,8 +187,8 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
     return LevelSetReport(measure, bound, alpha, satisfied, intervals)
 
 
-def _zeros_at(P: Polynomial, point: complex, tol: float = 1e-9) -> int:
-    return sum(1 for z in P.zeros if abs(z - point) <= tol)
+def _zeros_at(P: Polynomial, point: complex) -> int:
+    return sum(1 for z in P.zeros if abs(z - point) <= _GEOM_TOL)
 
 
 def incomplete_decay_check(S: Polynomial, n: int, k: int,
@@ -276,8 +270,7 @@ def mean_value_window_check(P: Polynomial, I: Interval = Interval(),
 
 def logderiv_values(P: Polynomial, xs) -> np.ndarray:
     """|P'/P| at sample points (inf where P vanishes)."""
-    v = evaluate_many(P, xs)
-    dv = derivative_values(P, xs)
+    v, dv = _values(P, xs, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.abs(dv) / np.abs(v)
     out[~np.isfinite(out)] = np.inf

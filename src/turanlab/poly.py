@@ -11,13 +11,14 @@ the value kernel here, which also gives P' and P'' without expanding.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Above this many (zeros x points) entries, factored evaluation streams
-# over the zeros instead of building the full broadcast matrix.
+# Factored evaluation builds the (zeros x points) broadcast matrix in chunks
+# of at most this many entries.
 _BROADCAST_LIMIT = 2_000_000
 
 
@@ -53,6 +54,8 @@ class Polynomial:
     def __post_init__(self):
         object.__setattr__(self, "leading", complex(self.leading))
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
+        if not all(map(cmath.isfinite, (self.leading,) + self.zeros)):
+            raise ValueError("leading coefficient and zeros must be finite")
         if not self.is_zero and self.leading == 0:
             raise ValueError(
                 "leading coefficient must be nonzero; use Polynomial.zero() "
@@ -107,18 +110,13 @@ def _values(P: Polynomial, xs, order: int) -> np.ndarray:
     if zs.size == 0:
         out[0] = P.leading
         return out
-    if order == 0:
-        if zs.size * x.size <= _BROADCAST_LIMIT:
-            out[0] = P.leading * np.prod(x[None, :] - zs[:, None], axis=0)
-        else:
-            out[0] = P.leading
-            for z in zs:
-                out[0] *= x - z
-        return out
     step = max(1, _BROADCAST_LIMIT // zs.size)
     for lo in range(0, x.size, step):
         sl = slice(lo, lo + step)
         diffs = x[None, sl] - zs[:, None]
+        if order == 0:
+            out[0, sl] = P.leading * np.prod(diffs, axis=0)
+            continue
         hit = diffs == 0
         mu = hit.sum(axis=0) if hit.any() else None
         if mu is not None:

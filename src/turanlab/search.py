@@ -1,13 +1,21 @@
-"""Derivative-free minimization of the sup-norm derivative ratio.
+"""Derivative-free minimization of derivative ratios, and grid sweeps.
 
-The optimizer is restarted Nelder-Mead on the clamped/tanh parametrization
-from :mod:`turanlab.classes`.  During descent the objective is a fast
-non-certified Chebyshev-grid estimate of ||P'||/||P||; every restart's final
-point (and a small set of structured warm candidates: interval-zero
-families like x - 1 and products of (x^2 - 1)) is then re-scored with the
-certified ratio, and the best certified value wins.  Because the lower
-bounds are theorems, any feasible point must sit above them; the search
-value is only ever an upper estimate of the true infimum.
+Every search runs one restart-and-certify loop: Nelder-Mead descends a
+fast non-certified grid estimate from each start point, each end point is
+re-scored with a certified ratio, and the lowest certified value wins.  The
+result's trace records each certified improvement, so it ends at the
+result.  The searches are
+
+* ``minimize_ratio``: ||P'||/||P|| over the half-disk class, on the
+  clamped/tanh parametrization from :mod:`turanlab.classes`, with a small
+  set of structured warm candidates (interval-zero families like x - 1 and
+  products of (x^2 - 1)) scored before the descents;
+* ``coefficient_search``: a ratio of Q = y^(m+1) S(y) over the
+  coefficients of S, behind ``minimize_incomplete_ratio`` (denominator
+  |Q(1)|, V_0^1(Q) or ||Q||_[0,1]) and ``constructions.thm24_construct``.
+
+Because the lower bounds are theorems, any feasible point must sit above
+them; a search value is only ever an upper estimate of the true infimum.
 """
 
 from __future__ import annotations
@@ -140,34 +148,59 @@ def _warm_param_starts(spec: ClassSpec) -> list:
     return starts
 
 
+def _lowest_certified(objective, starts, budget: int, xatol: float, certify,
+                      warm=()):
+    """The restart-and-certify loop shared by every search.
+
+    Scores the warm (CertifiedValue, item) pairs first, one evaluation
+    each, then descends ``objective`` by Nelder-Mead from each start with
+    ``budget`` evaluations and scores ``certify(x)`` at the end point, a
+    (CertifiedValue, item) pair or None to skip it.  The lowest
+    (certified value, |x|) wins, a warm item counting as |x| = inf; on a
+    tie the earlier candidate stays.  Returns ((cert, item, x), evaluations,
+    trace), x being None for a warm winner and the trace holding
+    (evaluations so far, certified value) at each certified improvement.
+    """
+    evals = 0
+    best, best_key, trace = None, None, []
+
+    def counted(x):
+        nonlocal evals
+        evals += 1
+        return objective(x)
+
+    def consider(scored, x):
+        nonlocal best, best_key
+        if scored is None:
+            return
+        cert, item = scored
+        key = (cert.value, math.inf if x is None else float(np.linalg.norm(x)))
+        if best is None or cert.value < best_key[0]:
+            trace.append((evals, cert.value))
+        if best is None or key < best_key:
+            best, best_key = (cert, item, x), key
+
+    for scored in warm:
+        evals += 1
+        consider(scored, None)
+    for x0 in starts:
+        sim = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e
+                                for e in np.eye(x0.size)])
+        x = _nm_minimize(counted, x0, method="Nelder-Mead",
+                         options={"maxfev": budget, "xatol": xatol,
+                                  "fatol": _FATOL, "initial_simplex": sim}).x
+        consider(certify(x), x)
+    if best is None:
+        raise SearchFailure("no feasible evaluation within budget")
+    return best, evals, tuple(trace)
+
+
 def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Estimate the infimum of ||P'||/||P|| over the class via restarts."""
     if spec.n == 0:
         raise SearchFailure("class of constants has no meaningful ratio")
-    interval = Interval()
-    xs = _cheb_grid(interval.lo, interval.hi, max(64, 16 * spec.n))
-
-    trace = []
-    evals = 0
-    best_est = math.inf
-    best = None  # (value, param_norm, polynomial, params, certified)
-
-    def consider(P, cert, params):
-        nonlocal best, best_est
-        pnorm = float(np.linalg.norm(params)) if params is not None else math.inf
-        key = (cert.value, pnorm)
-        if best is None or key < (best[0], best[1]):
-            best = (cert.value, pnorm, P, params, cert)
-        if cert.value < best_est:
-            best_est = cert.value
-            trace.append((evals, cert.value))
-
-    warm_vals = []
-    for P in _warm_candidates(spec):
-        evals += 1
-        cert = turan_ratio(P, interval)
-        warm_vals.append(cert.value)
-        consider(P, cert, None)
+    xs = _cheb_grid(-1.0, 1.0, max(64, 16 * spec.n))
+    warm = [(turan_ratio(P), P) for P in _warm_candidates(spec)]
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     starts = _warm_param_starts(spec)[: cfg.restarts]
@@ -185,68 +218,72 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
             x0[0] = rng.uniform(-1.0, 1.0)
         starts.append(x0)
 
-    def objective(p):
-        nonlocal evals, best_est
-        evals += 1
-        v = _fast_ratio(1.0, _zeros_from_params(p, spec), xs)
-        if v < best_est:
-            best_est = v
-            trace.append((evals, v))
-        return v
-
-    for x in restart_descents(objective, starts, cfg.budget, xatol=1e-10):
+    def certify(x):
         P = embed(x, spec)
-        consider(P, turan_ratio(P, interval), np.asarray(x))
+        return turan_ratio(P), P
 
-    if best is None:
-        raise SearchFailure("no feasible evaluation within budget")
-    _, _, P, params, cert = best
-    rep = is_member(P, spec)
-    if not rep:
-        raise SearchFailure(f"optimizer result failed membership: {rep.detail}")
+    (cert, P, x), evals, trace = _lowest_certified(
+        lambda p: _fast_ratio(1.0, _zeros_from_params(p, spec), xs),
+        starts, cfg.budget, 1e-10, certify, warm)
     bracket = thm21_bracket(spec.n, spec.k)
-    warm_best = min(warm_vals, default=None)
     return SearchResult(
-        best=P, ratio=cert, bracket=bracket, trace=tuple(trace),
+        best=P, ratio=cert, bracket=bracket, trace=trace,
         within_bracket=bracket_pass(cert, bracket), evals=evals,
         restarts_used=cfg.restarts,
-        params=None if params is None else tuple(float(v) for v in params),
-        warm_best=warm_best)
+        params=None if x is None else tuple(float(v) for v in x),
+        warm_best=min((c.value for c, _ in warm), default=None))
 
 
-def incomplete_from_coeffs(c, m: int) -> Polynomial | None:
-    """Factored x^(m+1) * sum_j c[j] x^j, with trailing coefficients below
-    1e-13 of the largest dropped; None for the zero vector."""
-    c = np.asarray(c, dtype=float)
-    nz = np.flatnonzero(np.abs(c) > 1e-13 * np.max(np.abs(c)))
-    if nz.size == 0:
-        return None
-    c = c[: nz[-1] + 1]
-    roots = (np.polynomial.polynomial.polyroots(c)
-             if c.size > 1 else np.zeros(0))
-    return from_zeros(c[-1], tuple(np.zeros(m + 1)) + tuple(roots))
+def coefficient_search(m: int, k: int, cfg: SearchConfig, estimate, certify):
+    """Search Q = y^(m+1) S(y), S = sum_(j<k) c_j y^j, over the real c.
 
+    Restarted Nelder-Mead, from e_1 and then standard normal draws keyed by
+    cfg.seed, descends the grid estimate num/den of a ratio of Q, taken on
+    256(m+k)+1 uniform points ys of [0, 1].  ``estimate(ys)`` runs once per
+    search and returns the map (Q on ys, Q' on ys) -> (num, den).  Each end
+    point is factored into Q and scored by ``certify(Q)``, a CertifiedValue
+    or None to skip it.  The ratios ignore the scale of Q, so each distinct
+    zero list is certified once.  Returns ((cert, Q, c), evaluations,
+    trace) as the shared restart loop does.
+    """
+    # |Q'| can peak within ~1/(m+k) of y = 1; at 256(m+k)+1 points the grid
+    # maxima sit within ~1e-7 relative of the true ones, so the descent
+    # lands on the true optimum of S to that accuracy.
+    ys = np.linspace(0.0, 1.0, 256 * (m + k) + 1)
+    expo = np.arange(m + 1, m + k + 1)[:, None]
+    basis = ys ** expo                        # y^(m+1+j), j < k
+    dbasis = expo * ys ** (expo - 1)
+    parts = estimate(ys)
 
-def _normal_starts(dim: int, cfg: SearchConfig) -> list:
-    """cfg.restarts start points in R^dim: e_1, then standard normal draws
-    from the Philox stream keyed by cfg.seed."""
+    def objective(c):
+        scale = float(np.max(np.abs(c)))
+        if scale <= 0:
+            return 1e18
+        num, den = parts(c @ basis, c @ dbasis)
+        if den <= 1e-14 * scale * len(ys):
+            return 1e18
+        return num / den
+
+    certs = {}
+
+    def scored(c):
+        # trailing coefficients below 1e-13 of the largest are dropped
+        top = np.flatnonzero(np.abs(c) > 1e-13 * np.max(np.abs(c)))
+        if top.size == 0:
+            return None
+        s = c[: top[-1] + 1]
+        roots = (np.polynomial.polynomial.polyroots(s)
+                 if s.size > 1 else np.zeros(0))
+        Q = from_zeros(s[-1], tuple(np.zeros(m + 1)) + tuple(roots))
+        if Q.zeros not in certs:
+            certs[Q.zeros] = certify(Q)
+        cert = certs[Q.zeros]
+        return None if cert is None else (cert, Q)
+
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-    starts = [np.eye(dim)[0]]
-    while len(starts) < cfg.restarts:
-        starts.append(rng.normal(0.0, 1.0, dim))
-    return starts
-
-
-def restart_descents(objective, starts, budget: int, xatol: float):
-    """Yield the end point of a Nelder-Mead descent of ``objective`` from
-    each start point, each with ``budget`` evaluations."""
-    for x0 in starts:
-        sim = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e
-                                for e in np.eye(x0.size)])
-        res = _nm_minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxfev": budget, "xatol": xatol,
-                                    "fatol": _FATOL, "initial_simplex": sim})
-        yield res.x
+    starts = [np.eye(k)[0]] + [rng.normal(0.0, 1.0, k)
+                               for _ in range(cfg.restarts - 1)]
+    return _lowest_certified(objective, starts, cfg.budget, 1e-11, scored)
 
 
 def minimize_incomplete_ratio(spec: IncompleteSpec,
@@ -262,77 +299,41 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
     if denominator not in ("point", "variation", "sup"):
         raise ValueError(f"unknown denominator variant: {denominator!r}")
     m, k = spec.n, spec.k
-    xs = np.linspace(0.0, 1.0, max(129, 16 * (m + k) + 1))
+    interval = Interval(0.0, 1.0)
 
-    def q_coeffs(c):
-        full = np.zeros(m + 1 + len(c))
-        full[m + 1:] = c
-        return full
-
-    def fast_obj(c):
-        nonlocal evals
-        evals += 1
-        scale = float(np.max(np.abs(c)))
-        if scale <= 0:
-            return 1e18
-        full = q_coeffs(c)
-        qv = np.polynomial.polynomial.polyval(xs, full)
-        dqv = np.polynomial.polynomial.polyval(
-            xs, np.polynomial.polynomial.polyder(full))
-        num = float(np.max(np.abs(dqv)))
+    def parts(q, dq):
         if denominator == "point":
-            den = abs(float(np.sum(c)))
+            den = abs(float(q[-1]))                 # ys[-1] = 1
         elif denominator == "sup":
-            den = float(np.max(np.abs(qv)))
+            den = float(np.max(np.abs(q)))
         else:
-            den = float(np.sum(np.abs(np.diff(qv))))
-        if den <= 1e-14 * scale * len(xs):
-            return 1e18
-        return num / den
+            den = float(np.sum(np.abs(np.diff(q))))
+        return float(np.max(np.abs(dq))), den
 
-    trace = []
-    evals = 0
-    best = None  # (certified value, coeff tuple, Polynomial, CertifiedValue)
-    best_est = math.inf
-
-    def certify(c):
-        nonlocal best, best_est
-        Q = incomplete_from_coeffs(c, m)
-        if Q is None or not incomplete_member(Q, spec):
-            return
-        interval = Interval(0.0, 1.0)
+    def certify(Q):
+        if not incomplete_member(Q, spec):
+            return None
         if denominator == "sup":
-            cert = turan_ratio(Q, interval)
+            return turan_ratio(Q, interval)
+        num_v, num_e, _ = _sup_abs(Q, interval, (1,))[0]
+        if denominator == "point":
+            den_v = abs(evaluate(Q, 1.0))
+            den_e = 16 * np.finfo(float).eps * den_v
         else:
-            num_v, num_e, _ = _sup_abs(Q, interval, (1,))[0]
-            if denominator == "point":
-                den_v = abs(evaluate(Q, 1.0))
-                den_e = 16 * np.finfo(float).eps * den_v
-            else:
-                d = total_variation(Q, interval)
-                den_v, den_e = d.value, d.err
-            if den_v <= 0:
-                return
-            cert = _quotient(num_v, num_e, den_v, den_e)
-        key = (cert.value, float(np.linalg.norm(c)))
-        if best is None or key < best[0]:
-            best = (key, tuple(float(v) for v in c), Q, cert)
-        if cert.value < best_est:
-            best_est = cert.value
-            trace.append((evals, cert.value))
+            d = total_variation(Q, interval)
+            den_v, den_e = d.value, d.err
+        if den_v <= 0:
+            return None
+        return _quotient(num_v, num_e, den_v, den_e)
 
-    for c in restart_descents(fast_obj, _normal_starts(k, cfg), cfg.budget,
-                              xatol=1e-11):
-        certify(c)
-
-    if best is None:
-        raise SearchFailure("no feasible evaluation within budget")
-    _, coeffs, Q, cert = best
+    (cert, Q, c), evals, trace = coefficient_search(
+        m, k, cfg, lambda ys: parts, certify)
     bracket = lemma34_bracket(m + k, k)
     return SearchResult(
-        best=Q, ratio=cert, bracket=bracket, trace=tuple(trace),
+        best=Q, ratio=cert, bracket=bracket, trace=trace,
         within_bracket=bracket_pass(cert, bracket), evals=evals,
-        restarts_used=cfg.restarts, params=coeffs, warm_best=None)
+        restarts_used=cfg.restarts, params=tuple(float(v) for v in c),
+        warm_best=None)
 
 
 @dataclass(frozen=True)

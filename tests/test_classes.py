@@ -31,7 +31,7 @@ def test_in_upper_half_disk():
     assert not in_upper_half_disk(0.5 - 0.5j)
     assert not in_upper_half_disk(1.5)
     # tolerance admits boundary roundoff
-    assert in_upper_half_disk(1.0 + 1e-12, tol=1e-9)
+    assert in_upper_half_disk(1.0 + 1e-12)
 
 
 def test_is_member_counts_constrained_zeros():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -156,6 +157,19 @@ def test_missing_poly_file_is_domain_error(capsys):
     code, _, err = run(capsys, "ratio", "--poly", "/no/such/file.json")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_zero_is_one_line_domain_error(capsys, tmp_path, token):
+    path = tmp_path / "bad.json"
+    path.write_text('{"leading": [1.0, 0.0], "zeros": [[0.5, 0.0], [%s, 0.0]]}'
+                    % token)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "ratio", "--poly", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:"), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -34,6 +34,13 @@ def test_from_zeros_basic():
     assert evaluate(P, 3.0) == 16.0
 
 
+def test_non_finite_coefficient_or_zero_rejected():
+    for lead, zeros in ((math.nan, [1.0]), (1.0, [0.5, math.inf]),
+                        (1.0, [complex(0.0, math.nan)])):
+        with pytest.raises(ValueError, match="finite"):
+            from_zeros(lead, zeros)
+
+
 def test_zero_leading_rejected():
     with pytest.raises(ValueError):
         from_zeros(0.0, [1.0])

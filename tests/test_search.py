@@ -39,10 +39,20 @@ def test_warm_candidates_bound_result():
 
 
 def test_search_result_trace_monotone():
-    res = minimize_ratio(ClassSpec(3, 1, pin_interval_zero=True), FAST)
-    vals = [v for _, v in res.trace]
-    assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
-    assert res.evals > 0
+    # the trace holds the certified improvements, so it ends at the result
+    runs = [minimize_ratio(ClassSpec(3, 1, pin_interval_zero=True), FAST),
+            minimize_ratio(ClassSpec(4, 0, pin_interval_zero=True),
+                           SearchConfig(budget=300, restarts=3, seed=0))]
+    runs += [minimize_incomplete_ratio(IncompleteSpec(6, 3),
+                                       SearchConfig(budget=600, restarts=3,
+                                                    seed=1), den)
+             for den in ("point", "variation", "sup")]
+    for res in runs:
+        evals = [e for e, _ in res.trace]
+        vals = [v for _, v in res.trace]
+        assert evals == sorted(evals) and 0 < evals[-1] <= res.evals
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+        assert vals[-1] == res.ratio.value
 
 
 def test_search_determinism():

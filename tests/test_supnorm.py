@@ -232,6 +232,26 @@ def test_quadrature_oracle_sees_a_bump_inside_one_grid_cell():
     assert abs(ref - exact) <= 1e-12, (ref, exact)
 
 
+def test_quadrature_oracle_sees_a_kink_next_to_a_cell_end():
+    # criterion 8's input i = 27: a zero of P' sits 0.1% of a cell width
+    # past a cell end, where no node falls; the oracle used to return a
+    # value 3.2e-11 relative off while stating an error of 1.3e-16
+    mpmath = pytest.importorskip("mpmath")
+    key = np.random.SeedSequence(entropy=(88, 27)).generate_state(2, np.uint64)
+    zeros = np.random.Generator(np.random.Philox(key=key)).uniform(-1.5, 1.5, 5)
+    ref, _ = quad_total_variation(from_zeros(1.0, zeros))
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(1)]                    # coefficients, highest first
+        for z in zeros:
+            c = [u - mpmath.mpf(z) * v for u, v in zip(c + [0], [0] + c)]
+        dc = [ci * (len(c) - 1 - i) for i, ci in enumerate(c[:-1])]
+        crit = [mpmath.re(r) for r in mpmath.polyroots(dc, extraprec=200)
+                if abs(mpmath.im(r)) < 1e-30 and -1 < mpmath.re(r) < 1]
+        vals = [mpmath.polyval(c, x) for x in sorted(crit + [-1, 1])]
+        exact = float(sum(abs(v - u) for u, v in zip(vals, vals[1:])))
+    assert abs(ref - exact) <= 1e-13 * exact, (ref, exact)
+
+
 def _one_pass_agrees(P, I=Interval()):
     """turan_ratio certifies ||P|| and ||P'|| in one engine pass; it must
     agree with the single-order norms within the stated radii, and each
