@@ -7,9 +7,10 @@ roots of h = 2 Re(conj(F) F').  The 8d+8-cell Chebyshev grid of the
 interval (d = deg P) is refined until bounds taken from the zero list prove
 that each cell holds, for every F asked for, at most one root of h, or no
 value of |F| above the maximum found so far; the Taylor series of P on a
-cell is built once and gives those of P and P'.  A sign scan of each h over
-the final cells then finds every root that matters, and all of them are
-narrowed together by Illinois steps (regula falsi, safeguarded by
+cell is built once (a zero at a time, in whole-row products that round as
+the plain recurrence does) and gives those of P and P'.  A sign scan of
+each h over the final cells then finds every root that matters, and all of
+them are narrowed together by Illinois steps (regula falsi, safeguarded by
 bisection).  The maximum of |F| over the cell ends and its roots, all
 evaluated in factored form, is the value; its radius is 64(d+1) eps times
 the value, plus the rounding bound of the values (P' = P sum 1/(x - z_i)
@@ -129,21 +130,23 @@ def _engine_grid(P: Polynomial, I: Interval) -> np.ndarray:
     return np.unique(_cheb_grid(I.lo, I.hi, 8 * P.degree + 8))
 
 
-def _majorants(P: Polynomial, a: np.ndarray, b: np.ndarray, kmax: int):
+def _majorants(P: Polynomial, a: np.ndarray, b: np.ndarray, kmax: int, mz=None):
     """(M, [E_0, ..., E_kmax]) with |P^(k)| <= k! M E_k on each cell [a, b]:
     the Taylor coefficients of P at the midpoint m are dominated by those of
     M(rho) = |c| prod(|m - z_i| + rho), so with r the half-width,
     M = M(r) and E_k = e_k(1/(|m - z_i| + r)), from power sums by Newton's
-    identities, padded by their rounding."""
+    identities, padded by their rounding; mz, if given, is the m - z_i."""
     m, r = 0.5 * (a + b), 0.5 * (b - a)
-    zs = np.asarray(P.zeros, dtype=complex)
-    w = np.abs(m[None, :] - zs[:, None]) + r[None, :]
-    M = abs(P.leading) * np.prod(w, axis=0)
-    inv = 1.0 / w
-    p, pw = [], inv
+    if mz is None:
+        mz = m[None, :] - np.asarray(P.zeros, dtype=complex)[:, None]
+    # in place: at high degree each (zeros x cells) array is megabytes
+    w = np.abs(mz)
+    M = abs(P.leading) * np.prod(np.add(w, r, out=w), axis=0)
+    inv = np.divide(1.0, w, out=w)
+    p, pw = [], np.ones_like(inv)
     for _ in range(kmax):
+        pw *= inv
         p.append(np.sum(pw, axis=0))
-        pw = pw * inv
     E = [np.ones_like(m)]
     for k in range(1, kmax + 1):
         e = sum((-1) ** (j - 1) * E[k - j] * p[j - 1] for j in range(1, k + 1)) / k
@@ -163,16 +166,23 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
     cheap form keeps the terms up to tau^3 and bounds the rest by
     sup|P''''| <= 24 M E_4 (_majorants); the full form keeps all of them,
     at O(d^2) per cell.
+
+    The coefficients of a batch of cells are rows of one buffer (tau^j in
+    row j + 1, row 0 zero): three whole-row products per zero form each
+    c_j (m - z_i) + c_(j-1) r, the same operations, so the same bound.
     """
-    m, r = 0.5 * (a + b), (0.5 * (b - a))[:, None]
-    M, E = _majorants(P, a, b, 4)
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    mz = m[None, :] - np.asarray(P.zeros, dtype=complex)[:, None]
+    M, E = _majorants(P, a, b, 4, mz)
     terms = P.degree + 1 if full else min(P.degree + 1, 4)
-    c = np.zeros((m.size, terms), dtype=complex)
-    c[:, 0] = P.leading
-    for z in P.zeros:
-        t = (m - z)[:, None]
-        c[:, 1:] = c[:, 1:] * t + c[:, :-1] * r
-        c[:, :1] *= t
+    buf, nxt, tmp = np.zeros((3, terms + 1, m.size), dtype=complex)
+    buf[1] = P.leading
+    for t in mz:
+        np.multiply(buf[1:], t, out=nxt[1:])
+        np.multiply(buf[:-1], r, out=tmp[1:])
+        nxt[1:] += tmp[1:]
+        buf, nxt = nxt, buf
+    c, r = np.ascontiguousarray(buf[1:].T), r[:, None]  # row sums keep order
     err = (4.0 * (P.degree + 2) * _EPS * M[:, None]
            * (r * E[1][:, None]) ** np.arange(c.shape[1]))
     out = []

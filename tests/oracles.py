@@ -291,3 +291,25 @@ def exact_derivative_abs(lead, zeros, x):
         q = mul(dp, t)
         p, dp = mul(p, t), (q[0] + p[0], q[1] + p[1])
     return math.sqrt(float(dp[0] ** 2 + dp[1] ** 2))
+
+
+def exact_cell_series(lead, zeros, m, r, terms):
+    """The first terms Taylor coefficients in tau of lead * prod (x - z) at
+    x = m + r tau, i.e. of lead * prod (m - z + r tau), for the numbers
+    exactly as stored, each as a (real, imaginary) pair of Fractions.
+    Doubles are dyadic, so with 2^k a common denominator of all inputs the
+    factors are multiplied out in Gaussian integers scaled by 2^k, exactly
+    and without the gcds of Fraction arithmetic; the powers of tau from
+    terms on are dropped, as no lower power depends on them."""
+    parts = [Fraction(x) for v in (lead, m, r, *zeros)
+             for x in (complex(v).real, complex(v).imag)]
+    k = max(p.denominator.bit_length() - 1 for p in parts)
+    n = [int(p * 2 ** k) for p in parts]
+    c = [(n[0], n[1])] + [(0, 0)] * (terms - 1)
+    mi, ri = n[2], n[4]
+    for zr, zi in zip(n[6::2], n[7::2]):
+        tr, ti = mi - zr, -zi                  # c_j <- c_j t + c_(j-1) r
+        c = [(u[0] * tr - u[1] * ti + ri * p[0], u[0] * ti + u[1] * tr + ri * p[1])
+             for u, p in zip(c, [(0, 0)] + c[:-1])]
+    scale = Fraction(1, 2 ** (k * (len(zeros) + 1)))
+    return [(u * scale, v * scale) for u, v in c]

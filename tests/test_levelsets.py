@@ -228,3 +228,22 @@ def test_level_measures_above_degree_30():
     rep = large_logderiv_measure(Q, 60.0)
     assert rep.measure.value > 0.5
     assert _agrees_with_grid(rep.measure, Q.zeros, 60.0, False), rep
+
+
+def test_small_measure_at_small_delta_matches_grid():
+    # criterion 4 cannot fail (its measure is at most 2 < 70e delta for
+    # delta >= 0.05) and the tests above use delta >= 0.05, so the measure
+    # itself is checked here at delta 1e-4 to 1e-2, on real and near-real
+    # zeros (most of these level sets are small but not empty)
+    nonzero = 0
+    for s in range(30):
+        rng = np.random.default_rng(9000 + s)
+        d = int(rng.integers(3, 31))
+        re = rng.uniform(-1.0, 1.0, d)
+        c = rng.choice([0.0, 1e-8, 1e-4], size=d)
+        zeros = re + 1j * c * rng.uniform(0.0, 1.0, d)
+        for delta in (1e-4, 1e-3, 1e-2):
+            rep = small_logderiv_measure(from_zeros(1.0, zeros), delta)
+            assert _agrees_with_grid(rep.measure, zeros, d * delta, True), (s, delta, rep)
+            nonzero += rep.measure.value > 0
+    assert nonzero >= 80, nonzero

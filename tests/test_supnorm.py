@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from turanlab import (
     turan_ratio,
 )
 from turanlab.poly import Polynomial
-from turanlab.supnorm import _narrow
+from turanlab.supnorm import _engine_grid, _majorants, _narrow, _series
 
 from oracles import (
+    exact_cell_series,
     exact_derivative_abs,
     grid_sup,
     grid_sup_slack,
@@ -346,3 +348,71 @@ def test_narrow_closes_labelled_brackets_to_xtol():
     one = _narrow(funcs[2], a[2:3].copy(), b[2:3].copy(), funcs[2](a[2:3]),
                   funcs[2](b[2:3]), xtol)
     assert abs(one[0] - exact[2]) <= slack
+
+
+def _series_input(degree):
+    """A zero exactly on the midpoint 0.25 of a test cell, zeros repeated
+    at +-1, a near-real cluster of width 1e-6 at 0.6, then random zeros."""
+    rng = np.random.default_rng(700 + degree)
+    cluster = 0.6 + 1e-6 * (rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(0.0, 1.0, 4))
+    special = [0.25, 1.0, 1.0, -1.0, -1.0, *cluster]
+    extra = max(degree - len(special), 0)
+    zeros = special[:degree] + list(rng.uniform(-1.2, 1.2, extra)
+                                    + 1j * rng.uniform(-0.5, 0.5, extra))
+    return from_zeros(0.75 - 1.5j, zeros)
+
+
+@pytest.mark.parametrize("degree, forms", [(0, (False, True)), (1, (False, True)),
+                                           (3, (False, True)), (60, (False, True)),
+                                           (200, (False,))])
+def test_cell_series_within_rounding_bound_of_exact_expansion(degree, forms):
+    # every coefficient of P and of P' in tau, cheap and full form, lies
+    # within its stated rounding bound of the exact rational expansion
+    P = _series_input(degree)
+    a = np.array([0.125, 0.6 - 2e-6, 0.5, 0.96875, -1.0, -0.3])
+    b = np.array([0.375, 0.6 + 2e-6, 0.7, 1.0, -0.75, 0.1])
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    assert m[0] == 0.25
+    for full in forms:
+        (f0, e0, _), (f1, e1, _) = _series(P, a, b, (0, 1), full)
+        assert f0.shape[1] == (degree + 1 if full else min(degree + 1, 4))
+        for i in range(a.size):
+            c = exact_cell_series(P.leading, P.zeros, m[i], r[i], f0.shape[1])
+            R = Fraction(r[i])
+            dc = [(j * u / R, j * v / R) for j, (u, v) in enumerate(c)][1:]
+            for f, err, exact in ((f0[i], e0[i], c), (f1[i], e1[i], dc)):
+                assert f.size == len(exact)
+                for j, (u, v) in enumerate(exact):
+                    du, dv = Fraction(f[j].real) - u, Fraction(f[j].imag) - v
+                    assert du * du + dv * dv <= Fraction(err[j]) ** 2, (full, i, j)
+
+
+def _column_recurrence(P, a, b, terms):
+    """The Taylor coefficients of P(m + r tau) by the plain recurrence,
+    c_j <- c_j (m - z) + c_(j-1) r, on a (cells x terms) array."""
+    m, r = 0.5 * (a + b), (0.5 * (b - a))[:, None]
+    c = np.zeros((m.size, terms), dtype=complex)
+    c[:, 0] = P.leading
+    for z in P.zeros:
+        t = (m - z)[:, None]
+        c[:, 1:] = c[:, 1:] * t + c[:, :-1] * r
+        c[:, :1] *= t
+    return c
+
+
+def test_cell_series_is_the_plain_recurrence_bit_for_bit():
+    # the rounding bound is proven for the recurrence's own operations, so
+    # the row buffer must reproduce them to the bit
+    member = sample(ClassSpec(120, 20, pin_interval_zero=True), seed=3)
+    for P, forms in ((_series_input(60), (False, True)), (member, (False, True)),
+                     (_series_input(200), (False,))):
+        x = _engine_grid(P, Interval())
+        a, b = x[:-1], x[1:]
+        M, E = _majorants(P, a, b, 4)
+        r = 0.5 * (b - a)
+        for full in forms:
+            f, err, _ = _series(P, a, b, (0,), full)[0]
+            assert np.array_equal(f, _column_recurrence(P, a, b, f.shape[1]))
+            bound = (4.0 * (P.degree + 2) * 2.0 ** -52 * M[:, None]
+                     * (r[:, None] * E[1][:, None]) ** np.arange(f.shape[1]))
+            assert np.array_equal(err, bound)
