@@ -125,15 +125,17 @@ def sample(spec: ClassSpec, seed: int = 0) -> Polynomial:
 
 def _zeros_from_params(p: np.ndarray, spec: ClassSpec) -> np.ndarray:
     """The zero array ``embed`` builds from a parameter vector of length
-    2 * spec.n, without the membership check."""
-    a, b = p[0::2], p[1::2]
+    2 * spec.n, without the membership check.  A stack of vectors on the
+    last axis gives the stack of their zero arrays, bit for bit."""
+    a, b = p[..., 0::2], p[..., 1::2]
     nc = spec.n - spec.k
-    r = np.clip(a[:nc], 0.0, 1.0)
-    th = np.clip(b[:nc], 0.0, np.pi)
-    re = np.concatenate([r * np.cos(th), 3.0 * np.tanh(a[nc:])])
-    im = np.concatenate([r * np.sin(th), 3.0 * np.tanh(b[nc:])])
+    r = np.clip(a[..., :nc], 0.0, 1.0)
+    th = np.clip(b[..., :nc], 0.0, np.pi)
+    re = np.concatenate([r * np.cos(th), 3.0 * np.tanh(a[..., nc:])], axis=-1)
+    im = np.concatenate([r * np.sin(th), 3.0 * np.tanh(b[..., nc:])], axis=-1)
     if spec.pin_interval_zero and spec.n >= 1:
-        re[0], im[0] = min(max(a[0], -1.0), 1.0), 0.0
+        re[..., 0] = np.clip(a[..., 0], -1.0, 1.0)
+        im[..., 0] = 0.0
     return re + 1j * im
 
 

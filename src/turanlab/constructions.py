@@ -77,8 +77,8 @@ def thm24_construct(n: int, k: int,
 
     def weighted(ys):
         weight = 2.0 * np.sqrt(1.0 - ys)
-        return lambda q, dq: (float(np.max(weight * np.abs(dq))),
-                              float(np.max(np.abs(q))))
+        return lambda q, dq: (np.max(weight * np.abs(dq), axis=1),
+                              np.max(np.abs(q), axis=1))
 
     (ratio, Q, _), _, _ = coefficient_search(
         n - k, k, cfg, weighted, lambda Q: turan_ratio(_squared_argument(Q)[1]))

@@ -4,7 +4,9 @@ Every search runs one restart-and-certify loop: Nelder-Mead descends a
 fast non-certified grid estimate from each start point, each end point is
 re-scored with a certified ratio, and the lowest certified value wins.  The
 result's trace records each certified improvement, so it ends at the
-result.  The searches are
+result.  The restarts descend in lockstep on the numpy Nelder-Mead here:
+each stage of a step sends every restart's pending points to one call of
+a batched grid estimate.  The searches are
 
 * ``minimize_ratio``: ||P'||/||P|| over the half-disk class, on the
   clamped/tanh parametrization from :mod:`turanlab.classes`, with a small
@@ -21,10 +23,10 @@ them; a search value is only ever an upper estimate of the true infimum.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from .bounds import (
     BoundBracket,
@@ -55,6 +57,12 @@ from .supnorm import (
 # simplex values at which a descent stops.
 _SIMPLEX_SCALE = 0.3
 _FATOL = 1e-10
+# A stack of points is evaluated in row blocks of at most this many
+# (rows x zeros x grid) entries, 1 MiB per complex temporary.  With blocks
+# of poly._BROADCAST_LIMIT entries, minimize_ratio at n = 40 with 32
+# restarts of 300 peaked at 101 MB of RSS against 45 MB with these, and ran
+# no faster.
+_BLOCK_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,8 +72,13 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.budget < 1 or self.restarts < 1:
-            raise ValueError("budget and restarts must be >= 1")
+        try:
+            ok = (operator.index(self.budget) >= 1
+                  and operator.index(self.restarts) >= 1)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError("budget and restarts must be integers >= 1")
 
 
 @dataclass(frozen=True)
@@ -81,20 +94,23 @@ class SearchResult:
     warm_best: float | None = None
 
 
-def _fast_ratio(leading: complex, zeros: np.ndarray, xs: np.ndarray) -> float:
-    """Grid estimate of ||P'||/||P|| from the factored form."""
-    diffs = xs[None, :] - zeros[:, None]
-    vals = leading * np.prod(diffs, axis=0)
+def _fast_ratio(leading: complex, zeros: np.ndarray, xs: np.ndarray):
+    """Grid estimate of ||P'||/||P|| from the factored form, for each zero
+    list on the last axis of ``zeros`` (one list gives a 0-d array)."""
+    diffs = xs - zeros[..., :, None]
+    vals = leading * np.prod(diffs, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dvals = vals * np.sum(1.0 / diffs, axis=0)
-    den = float(np.max(np.abs(vals)))
-    bad = ~np.isfinite(dvals)
-    if np.any(bad):
-        dvals = dvals[~bad]  # grid points hitting a zero exactly; neighbors cover them
-    num = float(np.max(np.abs(dvals))) if dvals.size else 0.0
-    if den <= 0.0 or not np.isfinite(den):
-        return 1e18
-    return num / den
+        s = np.sum(1.0 / diffs, axis=-2)
+        # A fresh output keeps a stack's rows equal to single rows: numpy
+        # runs a product on a temporary above 256 KiB in place, and the
+        # in-place complex product rounds differently.
+        dvals = np.multiply(vals, s, out=np.empty_like(s))
+        num = np.abs(dvals)
+        # grid points hitting a zero exactly; neighbors cover them
+        num[~np.isfinite(dvals)] = 0.0
+        num = np.max(num, axis=-1)
+        den = np.max(np.abs(vals), axis=-1)
+        return np.where((den > 0.0) & np.isfinite(den), num / den, 1e18)
 
 
 def _turan_family_zeros(d: int) -> list:
@@ -148,14 +164,119 @@ def _warm_param_starts(spec: ClassSpec) -> list:
     return starts
 
 
-def _lowest_certified(objective, starts, budget: int, xatol: float, certify,
-                      warm=()):
+def _ordered(sim, fsim):
+    """Each restart's simplex sorted by value, in np.argsort's order."""
+    rows = np.arange(len(fsim))[:, None]
+    ind = np.argsort(fsim, axis=1)
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _nelder_mead(objective, sim, budget: int, xatol: float):
+    """Nelder-Mead from each simplex of ``sim`` (restarts x (dim+1) x dim),
+    the restarts in lockstep.
+
+    ``objective`` maps a stack of points to their values; each stage of a
+    step (the reflections, then the expansions and contractions, then the
+    shrinks) makes one call for all restarts.  Each restart makes the moves
+    of the classic method (Nelder & Mead, Comput. J. 7, 1965) with
+    coefficients 1, 2, 1/2, 1/2, the vertices kept in np.argsort's order of
+    their values.  It stops once every vertex is within ``xatol`` of the
+    best and every value within _FATOL of the best value, or at ``budget``
+    evaluations wherever that falls, even inside the initial simplex (the
+    vertices left unevaluated count as inf).  A step cut before its
+    expansion or contraction leaves the simplex as it was; a shrink cut
+    after j evaluations has moved vertex j + 1 and keeps its old value
+    there.  Returns each restart's final simplex, sorted (its vertex 0 is
+    the end point), the values at its vertices and its evaluations.
+    """
+    restarts, n1, dim = sim.shape
+    fsim = np.full((restarts, n1), np.inf)
+    first = min(budget, n1)
+    fsim[:, :first] = objective(sim[:, :first].reshape(-1, dim)).reshape(restarts, first)
+    sim, fsim = _ordered(*_ordered(sim, fsim))     # twice: ties may reorder
+    final, values = np.empty_like(sim), np.empty_like(fsim)
+    used = np.empty(restarts, dtype=int)
+    live, ev = np.arange(restarts), np.full(restarts, first)
+    vertices = np.arange(1, n1)
+    while True:
+        done = ev >= budget
+        with np.errstate(invalid="ignore"):      # inf - inf
+            flat = np.flatnonzero(
+                np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= _FATOL)
+        if flat.size:
+            done[flat] |= np.max(np.abs(sim[flat, 1:] - sim[flat, :1]),
+                                 axis=(1, 2)) <= xatol
+        if done.any():
+            out = live[done]
+            final[out], values[out], used[out] = sim[done], fsim[done], ev[done]
+            keep = ~done
+            live, ev, sim, fsim = live[keep], ev[keep], sim[keep], fsim[keep]
+            if not live.size:
+                return final, values, used
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / dim
+        worst = sim[:, -1]
+        new = 2 * xbar - worst                  # the reflection
+        fnew = objective(new)
+        ev += 1
+        expand = fnew < fsim[:, 0]
+        contract = ~expand & (fnew >= fsim[:, -2])
+        # a step with no evaluation left for its expansion or contraction
+        # leaves the simplex as it was
+        cut = (expand | contract) & (ev >= budget)
+        take = ~contract & ~cut           # the worst vertex is replaced
+        shrink = np.zeros(0, dtype=int)
+        pend = np.flatnonzero((expand | contract) & ~cut)
+        if pend.size:
+            e, o = expand[pend], fnew[pend] < fsim[pend, -1]
+            xb, w = xbar[pend], worst[pend]
+            pts = np.where(e[:, None], 3 * xb - 2 * w,
+                           np.where(o[:, None], 1.5 * xb - 0.5 * w,
+                                    0.5 * xb + 0.5 * w))
+            fp = objective(pts)
+            ev[pend] += 1
+            better = np.where(e, fp < fnew[pend],
+                              np.where(o, fp <= fnew[pend], fp < fsim[pend, -1]))
+            new[pend[better]], fnew[pend[better]] = pts[better], fp[better]
+            take[pend[better]] = True
+            shrink = pend[~e & ~better]
+        sim[take, -1], fsim[take, -1] = new[take], fnew[take]
+
+        if shrink.size:
+            left = budget - ev[shrink]
+            s0 = sim[shrink, :1]
+            moved = vertices <= left[:, None] + 1
+            r, j = np.nonzero(moved)
+            sim[shrink[r], j + 1] = (s0 + 0.5 * (sim[shrink, 1:] - s0))[moved]
+            r, j = np.nonzero(vertices <= left[:, None])
+            if r.size:
+                fsim[shrink[r], j + 1] = objective(sim[shrink[r], j + 1])
+            ev[shrink] += np.minimum(left, dim)
+        sim, fsim = _ordered(sim, fsim)
+
+
+def _in_blocks(objective, width: int):
+    """``objective`` applied to a stack in equal row blocks, each of at most
+    _BLOCK_LIMIT entries (rows x width) or of one row."""
+    def blocked(rows):
+        blocks = min(len(rows), -(-len(rows) * width // _BLOCK_LIMIT))
+        if blocks == 1:
+            return objective(rows)
+        return np.concatenate([objective(b) for b in np.array_split(rows, blocks)])
+    return blocked
+
+
+def _lowest_certified(objective, width: int, starts, budget: int,
+                      xatol: float, certify, warm=()):
     """The restart-and-certify loop shared by every search.
 
     Scores the warm (CertifiedValue, item) pairs first, one evaluation
-    each, then descends ``objective`` by Nelder-Mead from each start with
-    ``budget`` evaluations and scores ``certify(x)`` at the end point, a
-    (CertifiedValue, item) pair or None to skip it.  The lowest
+    each, then descends ``objective`` by lockstep Nelder-Mead from every
+    start with ``budget`` evaluations each, and scores ``certify(x)`` at the
+    end points in restart order, each a (CertifiedValue, item) pair or None
+    to skip it.  ``objective`` maps a stack of points to their values and
+    builds about ``width`` broadcast entries per point; it is called on row
+    blocks that keep a block within _BLOCK_LIMIT entries.  The lowest
     (certified value, |x|) wins, a warm item counting as |x| = inf; on a
     tie the earlier candidate stays.  Returns ((cert, item, x), evaluations,
     trace), x being None for a warm winner and the trace holding
@@ -163,11 +284,6 @@ def _lowest_certified(objective, starts, budget: int, xatol: float, certify,
     """
     evals = 0
     best, best_key, trace = None, None, []
-
-    def counted(x):
-        nonlocal evals
-        evals += 1
-        return objective(x)
 
     def consider(scored, x):
         nonlocal best, best_key
@@ -183,12 +299,12 @@ def _lowest_certified(objective, starts, budget: int, xatol: float, certify,
     for scored in warm:
         evals += 1
         consider(scored, None)
-    for x0 in starts:
-        sim = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e
-                                for e in np.eye(x0.size)])
-        x = _nm_minimize(counted, x0, method="Nelder-Mead",
-                         options={"maxfev": budget, "xatol": xatol,
-                                  "fatol": _FATOL, "initial_simplex": sim}).x
+    x0 = np.array(starts, dtype=float)[:, None, :]
+    sim = np.concatenate([x0, x0 + _SIMPLEX_SCALE * np.eye(x0.shape[2])], axis=1)
+    final, _, used = _nelder_mead(_in_blocks(objective, width), sim, budget,
+                                  xatol)
+    for x, n in zip(final[:, 0], used):
+        evals += int(n)
         consider(certify(x), x)
     if best is None:
         raise SearchFailure("no feasible evaluation within budget")
@@ -224,7 +340,7 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
 
     (cert, P, x), evals, trace = _lowest_certified(
         lambda p: _fast_ratio(1.0, _zeros_from_params(p, spec), xs),
-        starts, cfg.budget, 1e-10, certify, warm)
+        spec.n * xs.size, starts, cfg.budget, 1e-10, certify, warm)
     bracket = thm21_bracket(spec.n, spec.k)
     return SearchResult(
         best=P, ratio=cert, bracket=bracket, trace=trace,
@@ -240,9 +356,10 @@ def coefficient_search(m: int, k: int, cfg: SearchConfig, estimate, certify):
     Restarted Nelder-Mead, from e_1 and then standard normal draws keyed by
     cfg.seed, descends the grid estimate num/den of a ratio of Q, taken on
     256(m+k)+1 uniform points ys of [0, 1].  ``estimate(ys)`` runs once per
-    search and returns the map (Q on ys, Q' on ys) -> (num, den).  Each end
-    point is factored into Q and scored by ``certify(Q)``, a CertifiedValue
-    or None to skip it.  The ratios ignore the scale of Q, so each distinct
+    search and returns the map (Q on ys, Q' on ys) -> (num, den), with one
+    row per point and one reduction per row.  Each end point is factored
+    into Q and scored by ``certify(Q)``, a CertifiedValue or None to skip
+    it.  The ratios ignore the scale of Q, so each distinct
     zero list is certified once.  Returns ((cert, Q, c), evaluations,
     trace) as the shared restart loop does.
     """
@@ -255,14 +372,15 @@ def coefficient_search(m: int, k: int, cfg: SearchConfig, estimate, certify):
     dbasis = expo * ys ** (expo - 1)
     parts = estimate(ys)
 
-    def objective(c):
-        scale = float(np.max(np.abs(c)))
-        if scale <= 0:
-            return 1e18
-        num, den = parts(c @ basis, c @ dbasis)
-        if den <= 1e-14 * scale * len(ys):
-            return 1e18
-        return num / den
+    def objective(C):
+        scale = np.max(np.abs(C), axis=-1)
+        # row by row: a matrix product over the stack differs in the last
+        # bit from c @ basis for k >= 2
+        num, den = parts(np.array([c @ basis for c in C]),
+                         np.array([c @ dbasis for c in C]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((scale <= 0) | (den <= 1e-14 * scale * len(ys)),
+                            1e18, num / den)
 
     certs = {}
 
@@ -283,7 +401,8 @@ def coefficient_search(m: int, k: int, cfg: SearchConfig, estimate, certify):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     starts = [np.eye(k)[0]] + [rng.normal(0.0, 1.0, k)
                                for _ in range(cfg.restarts - 1)]
-    return _lowest_certified(objective, starts, cfg.budget, 1e-11, scored)
+    return _lowest_certified(objective, basis.size, starts, cfg.budget, 1e-11,
+                             scored)
 
 
 def minimize_incomplete_ratio(spec: IncompleteSpec,
@@ -303,12 +422,12 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
 
     def parts(q, dq):
         if denominator == "point":
-            den = abs(float(q[-1]))                 # ys[-1] = 1
+            den = np.abs(q[:, -1])                  # ys[-1] = 1
         elif denominator == "sup":
-            den = float(np.max(np.abs(q)))
+            den = np.max(np.abs(q), axis=1)
         else:
-            den = float(np.sum(np.abs(np.diff(q))))
-        return float(np.max(np.abs(dq))), den
+            den = np.sum(np.abs(np.diff(q, axis=1)), axis=1)
+        return np.max(np.abs(dq), axis=1), den
 
     def certify(Q):
         if not incomplete_member(Q, spec):

@@ -1,6 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the
+package imports nothing heavy that it does not use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,16 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_scipy_out():
+    # scipy is a test-only dependency; importing it costs about half a
+    # second and 40 MB at start-up
+    code = ("import sys, turanlab, turanlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,9 @@
 """Derivative-free minimization of the ratio and the sweep driver."""
 
+import numpy as np
 import pytest
 
+from turanlab import search
 from turanlab import (
     ClassSpec,
     IncompleteSpec,
@@ -15,6 +17,8 @@ from turanlab import (
     thm21_bracket,
     thm24_construct,
 )
+from turanlab.classes import _zeros_from_params
+from turanlab.supnorm import _cheb_grid
 
 FAST = SearchConfig(budget=1500, restarts=4, seed=0)
 
@@ -135,3 +139,143 @@ def test_frontier_sweep_single_cell():
     t = frontier_sweep([4], [0], SearchConfig(budget=400, restarts=2, seed=0))
     assert len(t.rows) == 1
     assert t.slope is None or isinstance(t.slope, float)
+
+
+@pytest.mark.parametrize("budget, restarts", [(300.7, 2), (300, 2.5), (300, 2.0),
+                                              ("300", 2), (0, 2), (300, 0)])
+def test_search_config_rejects_non_integer_or_small_counts(budget, restarts):
+    with pytest.raises(ValueError, match="budget and restarts"):
+        SearchConfig(budget=budget, restarts=restarts, seed=1)
+
+
+def test_search_config_accepts_integer_types():
+    cfg = SearchConfig(np.int64(300), np.int32(2), 1)
+    assert (cfg.budget, cfg.restarts) == (300, 2)
+
+
+# Objectives on a stack of points (last axis) for the Nelder-Mead reference
+# test; each row's value does not depend on the other rows.
+_W = np.array([1.0, 3.0, 0.5, 2.0, 1.5, 0.7])
+_C = np.array([0.3, -0.2, 0.9, 0.1, -0.6, 0.4])
+_SPEC = ClassSpec(3, 1, pin_interval_zero=True)
+_XS = _cheb_grid(-1.0, 1.0, 64)
+NM_OBJECTIVES = {
+    "quadratic": (3, lambda X: np.sum(_W[:3] * (X - _C[:3]) ** 2, axis=-1)),
+    "max-abs": (3, lambda X: np.max(_W[:3] * np.abs(X - _C[:3]), axis=-1)),
+    # integer steps: runs of equal values, so argsort's tie order matters
+    # and shrinks are frequent
+    "plateaus": (3, lambda X: np.sum(np.floor(2.0 * X), axis=-1)),
+    "fast-ratio": (6, lambda X: search._fast_ratio(
+        1.0, _zeros_from_params(X, _SPEC), _XS)),
+}
+# below dim + 1, every cut point of the first steps (shrinks included), and
+# budgets at which runs stop on xatol/fatol
+NM_BUDGETS = list(range(1, 31)) + [400, 1500]
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 8])
+@pytest.mark.parametrize("name", sorted(NM_OBJECTIVES))
+def test_lockstep_nelder_mead_matches_scipy(name, restarts):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    dim, f = NM_OBJECTIVES[name]
+    rng = np.random.default_rng(restarts)
+    x0 = rng.normal(0.0, 1.0, (restarts, 1, dim))
+    sims = np.concatenate([x0, x0 + 0.3 * np.eye(dim)], axis=1)
+    xatol = 1e-6
+    early = 0
+    for budget in NM_BUDGETS:
+        final, values, used = search._nelder_mead(f, sims.copy(), budget, xatol)
+        for r in range(restarts):
+            calls = []
+
+            def one(x):
+                calls.append(1)
+                return f(x[None])[0]
+
+            ref = minimize(one, sims[r, 0], method="Nelder-Mead",
+                           options={"maxfev": budget, "xatol": xatol,
+                                    "fatol": search._FATOL,
+                                    "initial_simplex": sims[r]})
+            assert np.array_equal(final[r], ref.final_simplex[0]), (budget, r)
+            assert np.array_equal(values[r], ref.final_simplex[1]), (budget, r)
+            assert used[r] == len(calls), (budget, r)
+            early += len(calls) < budget
+    if name != "fast-ratio":
+        assert early > 0          # some runs stopped on xatol/fatol
+
+
+def _reference_fast_ratio(zeros, xs):
+    """The grid estimate of one zero list, as the search computed it when it
+    evaluated one point at a time."""
+    diffs = xs[None, :] - zeros[:, None]
+    vals = np.prod(diffs, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dvals = vals * np.sum(1.0 / diffs, axis=0)
+    den = float(np.max(np.abs(vals)))
+    dvals = dvals[np.isfinite(dvals)]
+    num = float(np.max(np.abs(dvals))) if dvals.size else 0.0
+    if den <= 0.0 or not np.isfinite(den):
+        return 1e18
+    return num / den
+
+
+def test_fast_ratio_stack_matches_single_points():
+    spec = ClassSpec(16, 5, pin_interval_zero=True)
+    xs = _cheb_grid(-1.0, 1.0, 16 * spec.n)
+    params = np.random.default_rng(5).normal(0.0, 1.0, (96, 2 * spec.n))
+    params[:8, 0] = xs[[0, 3, 40, 127, 128, 200, 254, 255]]  # a zero on a grid point
+    # 96 rows x 256 points of complex values: 384 KiB per product, above
+    # the size at which numpy starts reusing temporaries in place
+    stacked = search._fast_ratio(1.0, _zeros_from_params(params, spec), xs)
+    single = [search._fast_ratio(1.0, _zeros_from_params(p, spec), xs)
+              for p in params]
+    reference = [_reference_fast_ratio(_zeros_from_params(p, spec), xs)
+                 for p in params]
+    assert np.array_equal(stacked, single)
+    assert np.array_equal(stacked, reference)
+    assert np.all(stacked[:8] < 1e18)
+
+
+def _coefficient_objective(monkeypatch, run):
+    """The stack objective that a coefficient search hands to the loop."""
+    seen = []
+
+    def spy(objective, *args, **kwargs):
+        seen.append(objective)
+        raise SearchFailure("captured")
+
+    monkeypatch.setattr(search, "_lowest_certified", spy)
+    with pytest.raises(SearchFailure):
+        run()
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_coefficient_objective_stack_matches_single_points(monkeypatch, k):
+    cfg = SearchConfig(budget=50, restarts=2, seed=0)
+    runs = [lambda: thm24_construct(4 * k, k, cfg)]
+    runs += [lambda den=den: minimize_incomplete_ratio(IncompleteSpec(7, k), cfg, den)
+             for den in ("point", "variation", "sup")]
+    coeffs = np.random.default_rng(k).normal(0.0, 1.0, (40, k))
+    coeffs[0] = 0.0                      # the guarded zero vector
+    for run in runs:
+        f = _coefficient_objective(monkeypatch, run)
+        stacked = f(coeffs)
+        assert np.array_equal(stacked, [f(c[None])[0] for c in coeffs])
+        assert stacked[0] == 1e18
+
+
+def test_search_results_do_not_depend_on_block_size(monkeypatch):
+    cfg = SearchConfig(budget=300, restarts=3, seed=2)
+
+    def results():
+        a = minimize_ratio(ClassSpec(5, 1, pin_interval_zero=True), cfg)
+        b = thm24_construct(8, 2, cfg)
+        c = minimize_incomplete_ratio(IncompleteSpec(6, 3), cfg, "variation")
+        return repr((a.ratio, a.params, a.evals, a.trace, b.ratio, b.P,
+                     c.ratio, c.params, c.evals, c.trace))
+
+    whole = results()
+    monkeypatch.setattr(search, "_BLOCK_LIMIT", 1)      # one row per block
+    assert results() == whole
