@@ -129,12 +129,14 @@ def _zeros_from_params(p: np.ndarray, spec: ClassSpec) -> np.ndarray:
     last axis gives the stack of their zero arrays, bit for bit."""
     a, b = p[..., 0::2], p[..., 1::2]
     nc = spec.n - spec.k
-    r = np.clip(a[..., :nc], 0.0, 1.0)
-    th = np.clip(b[..., :nc], 0.0, np.pi)
+    # np.clip(x, lo, hi) as bare ufuncs, -0.0 included; lo first, since
+    # np.maximum returns its second operand on a tie of signed zeros
+    r = np.minimum(np.maximum(0.0, a[..., :nc]), 1.0)
+    th = np.minimum(np.maximum(0.0, b[..., :nc]), np.pi)
     re = np.concatenate([r * np.cos(th), 3.0 * np.tanh(a[..., nc:])], axis=-1)
     im = np.concatenate([r * np.sin(th), 3.0 * np.tanh(b[..., nc:])], axis=-1)
     if spec.pin_interval_zero and spec.n >= 1:
-        re[..., 0] = np.clip(a[..., 0], -1.0, 1.0)
+        re[..., 0] = np.minimum(np.maximum(-1.0, a[..., 0]), 1.0)
         im[..., 0] = 0.0
     return re + 1j * im
 

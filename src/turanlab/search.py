@@ -11,7 +11,9 @@ a batched grid estimate.  The searches are
 * ``minimize_ratio``: ||P'||/||P|| over the half-disk class, on the
   clamped/tanh parametrization from :mod:`turanlab.classes`, with a small
   set of structured warm candidates (interval-zero families like x - 1 and
-  products of (x^2 - 1)) scored before the descents;
+  products of (x^2 - 1)) scored before the descents.  A warm candidate
+  depends only on its degree, so its certificate is computed once per
+  process per degree family and shared by every class of that degree;
 * ``coefficient_search``: a ratio of Q = y^(m+1) S(y) over the
   coefficients of S, behind ``minimize_incomplete_ratio`` (denominator
   |Q(1)|, V_0^1(Q) or ||Q||_[0,1]) and ``constructions.thm24_construct``.
@@ -57,6 +59,10 @@ from .supnorm import (
 # simplex values at which a descent stops.
 _SIMPLEX_SCALE = 0.3
 _FATOL = 1e-10
+# (a, b) of each trial point a * xbar + b * worst after a reflection: the
+# same bits as 3 * xbar - 2 * worst, 1.5 * xbar - 0.5 * worst and
+# 0.5 * xbar + 0.5 * worst, since x - y is x + (-y) in floating point
+_MOVES = {"expand": (3.0, -2.0), "outside": (1.5, -0.5), "inside": (0.5, 0.5)}
 # A stack of points is evaluated in row blocks of at most this many
 # (rows x zeros x grid) entries, 1 MiB per complex temporary.  With blocks
 # of poly._BROADCAST_LIMIT entries, minimize_ratio at n = 40 with 32
@@ -98,18 +104,17 @@ def _fast_ratio(leading: complex, zeros: np.ndarray, xs: np.ndarray):
     """Grid estimate of ||P'||/||P|| from the factored form, for each zero
     list on the last axis of ``zeros`` (one list gives a 0-d array)."""
     diffs = xs - zeros[..., :, None]
-    vals = leading * np.prod(diffs, axis=-2)
+    vals = leading * np.multiply.reduce(diffs, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(1.0 / diffs, axis=-2)
+        s = np.add.reduce(1.0 / diffs, axis=-2)
         # A fresh output keeps a stack's rows equal to single rows: numpy
         # runs a product on a temporary above 256 KiB in place, and the
         # in-place complex product rounds differently.
         dvals = np.multiply(vals, s, out=np.empty_like(s))
-        num = np.abs(dvals)
-        # grid points hitting a zero exactly; neighbors cover them
-        num[~np.isfinite(dvals)] = 0.0
-        num = np.max(num, axis=-1)
-        den = np.max(np.abs(vals), axis=-1)
+        # grid points hitting a zero exactly count as 0; neighbors cover them
+        num = np.maximum.reduce(np.abs(dvals), axis=-1,
+                                where=np.isfinite(dvals), initial=0.0)
+        den = np.maximum.reduce(np.abs(vals), axis=-1)
         return np.where((den > 0.0) & np.isfinite(den), num / den, 1e18)
 
 
@@ -120,26 +125,49 @@ def _turan_family_zeros(d: int) -> list:
     return [complex(z) for z in zeros]
 
 
+# CertifiedValue of each warm candidate certified so far in this process,
+# keyed by (degree d, split a): split a is (x-1)^a (x+1)^(d-a) with its
+# zeros in that order, split None the Turan-ordered member of degree d
+# (the two orders round differently).  Neither depends on the class, so
+# every class that shares a degree shares the certificates; d + 2 entries
+# per degree seen.  Each entry is an immutable CertifiedValue fixed by its
+# key, so the sharing cannot change a result.
+_WARM_CERTS: dict = {}
+
+
 def _warm_candidates(spec: ClassSpec) -> list:
     """Structured members worth scoring directly (may beat the optimizer,
-    e.g. low-degree witnesses the full-degree parametrization cannot reach)."""
+    e.g. low-degree witnesses the full-degree parametrization cannot reach),
+    each as a ((degree, split), member) pair."""
     cands = []
     degrees = {spec.n, max(spec.n - spec.k, 1)}
     for d in degrees:
-        cands.append(from_zeros(1.0, _turan_family_zeros(d)))
+        cands.append(((d, None), _turan_family_zeros(d)))
         # endpoint multiplicity splits (x-1)^a (x+1)^(d-a)
         for a in range(d + 1):
-            cands.append(from_zeros(1.0, [1.0] * a + [-1.0] * (d - a)))
+            cands.append(((d, a), [1.0] * a + [-1.0] * (d - a)))
     if spec.n - spec.k <= 1:
-        cands.append(from_zeros(1.0, [1.0]))
-        cands.append(from_zeros(1.0, [-1.0]))
+        cands.append(((1, 1), [1.0]))
+        cands.append(((1, 0), [-1.0]))
     seen = set()
     out = []
-    for P in cands:
-        key = tuple(sorted((z.real, z.imag) for z in P.zeros))
-        if key not in seen and is_member(P, spec):
-            seen.add(key)
-            out.append(P)
+    for key, zeros in cands:
+        P = from_zeros(1.0, zeros)
+        sorted_zeros = tuple(sorted((z.real, z.imag) for z in P.zeros))
+        if sorted_zeros not in seen and is_member(P, spec):
+            seen.add(sorted_zeros)
+            out.append((key, P))
+    return out
+
+
+def _warm_scored(spec: ClassSpec) -> list:
+    """(turan_ratio(P), P) for each warm candidate P, each certified once
+    per process."""
+    out = []
+    for key, P in _warm_candidates(spec):
+        if key not in _WARM_CERTS:
+            _WARM_CERTS[key] = turan_ratio(P)
+        out.append((_WARM_CERTS[key], P))
     return out
 
 
@@ -196,54 +224,75 @@ def _nelder_mead(objective, sim, budget: int, xatol: float):
     sim, fsim = _ordered(*_ordered(sim, fsim))     # twice: ties may reorder
     final, values = np.empty_like(sim), np.empty_like(fsim)
     used = np.empty(restarts, dtype=int)
-    live, ev = np.arange(restarts), np.full(restarts, first)
+    live, ev = list(range(restarts)), [first] * restarts
     vertices = np.arange(1, n1)
+    # The per-restart tests run on Python floats, which compare and subtract
+    # as numpy does; inf - inf is nan there, without a warning.
     while True:
-        done = ev >= budget
-        with np.errstate(invalid="ignore"):      # inf - inf
-            flat = np.flatnonzero(
-                np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= _FATOL)
-        if flat.size:
-            done[flat] |= np.max(np.abs(sim[flat, 1:] - sim[flat, :1]),
-                                 axis=(1, 2)) <= xatol
-        if done.any():
-            out = live[done]
-            final[out], values[out], used[out] = sim[done], fsim[done], ev[done]
-            keep = ~done
-            live, ev, sim, fsim = live[keep], ev[keep], sim[keep], fsim[keep]
-            if not live.size:
+        f = fsim.tolist()
+        done = [e >= budget for e in ev]
+        # a sorted row's largest |f_0 - f_j| is f_last - f_0 (nan last)
+        flat = [i for i, row in enumerate(f) if row[-1] - row[0] <= _FATOL]
+        if flat:
+            near = np.max(np.abs(sim[flat, 1:] - sim[flat, :1]), axis=(1, 2))
+            for i, d in zip(flat, near.tolist()):
+                done[i] = done[i] or d <= xatol
+        if any(done):
+            out = [i for i, d in enumerate(done) if d]
+            keep = [i for i, d in enumerate(done) if not d]
+            idx = [live[i] for i in out]
+            final[idx], values[idx] = sim[out], fsim[out]
+            used[idx] = [ev[i] for i in out]
+            if not keep:
                 return final, values, used
+            live, ev = [live[i] for i in keep], [ev[i] for i in keep]
+            sim, fsim, f = sim[keep], fsim[keep], [f[i] for i in keep]
 
         xbar = np.add.reduce(sim[:, :-1], 1) / dim
         worst = sim[:, -1]
         new = 2 * xbar - worst                  # the reflection
-        fnew = objective(new)
-        ev += 1
-        expand = fnew < fsim[:, 0]
-        contract = ~expand & (fnew >= fsim[:, -2])
-        # a step with no evaluation left for its expansion or contraction
-        # leaves the simplex as it was
-        cut = (expand | contract) & (ev >= budget)
-        take = ~contract & ~cut           # the worst vertex is replaced
-        shrink = np.zeros(0, dtype=int)
-        pend = np.flatnonzero((expand | contract) & ~cut)
-        if pend.size:
-            e, o = expand[pend], fnew[pend] < fsim[pend, -1]
-            xb, w = xbar[pend], worst[pend]
-            pts = np.where(e[:, None], 3 * xb - 2 * w,
-                           np.where(o[:, None], 1.5 * xb - 0.5 * w,
-                                    0.5 * xb + 0.5 * w))
-            fp = objective(pts)
-            ev[pend] += 1
-            better = np.where(e, fp < fnew[pend],
-                              np.where(o, fp <= fnew[pend], fp < fsim[pend, -1]))
-            new[pend[better]], fnew[pend[better]] = pts[better], fp[better]
-            take[pend[better]] = True
-            shrink = pend[~e & ~better]
-        sim[take, -1], fsim[take, -1] = new[take], fnew[take]
+        fnew = objective(new).tolist()
+        take = []          # (row, row of new, value) of each new worst vertex
+        pend = []          # (row, move) of each expansion or contraction
+        for i, (fr, fi) in enumerate(zip(fnew, f)):
+            ev[i] += 1
+            if fr < fi[0]:
+                move = "expand"
+            elif fr >= fi[-2]:
+                move = "outside" if fr < fi[-1] else "inside"
+            else:
+                take.append((i, i, fr))
+                continue
+            # a step with no evaluation left for its expansion or
+            # contraction leaves the simplex as it was
+            if ev[i] < budget:
+                pend.append((i, move))
+        shrink = []
+        if pend:
+            at = [i for i, _ in pend]
+            ab = np.array([_MOVES[m] for _, m in pend])
+            pts = ab[:, :1] * xbar[at] + ab[:, 1:] * worst[at]
+            fpts = objective(pts).tolist()
+            for j, ((i, move), fp) in enumerate(zip(pend, fpts)):
+                ev[i] += 1
+                if move == "expand":
+                    better = fp < fnew[i]
+                else:
+                    better = fp <= fnew[i] if move == "outside" else fp < f[i][-1]
+                if better:
+                    take.append((i, len(fnew) + j, fp))
+                elif move == "expand":
+                    take.append((i, i, fnew[i]))
+                else:
+                    shrink.append(i)
+            new = np.concatenate([new, pts])
+        if take:
+            rows, src, fvals = map(list, zip(*take))
+            sim[rows, -1], fsim[rows, -1] = new[src], fvals
 
-        if shrink.size:
-            left = budget - ev[shrink]
+        if shrink:
+            left = budget - np.array([ev[i] for i in shrink])
+            shrink = np.array(shrink)
             s0 = sim[shrink, :1]
             moved = vertices <= left[:, None] + 1
             r, j = np.nonzero(moved)
@@ -251,7 +300,8 @@ def _nelder_mead(objective, sim, budget: int, xatol: float):
             r, j = np.nonzero(vertices <= left[:, None])
             if r.size:
                 fsim[shrink[r], j + 1] = objective(sim[shrink[r], j + 1])
-            ev[shrink] += np.minimum(left, dim)
+            for i, n in zip(shrink.tolist(), left.tolist()):
+                ev[i] += min(n, dim)
         sim, fsim = _ordered(sim, fsim)
 
 
@@ -316,7 +366,7 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
     if spec.n == 0:
         raise SearchFailure("class of constants has no meaningful ratio")
     xs = _cheb_grid(-1.0, 1.0, max(64, 16 * spec.n))
-    warm = [(turan_ratio(P), P) for P in _warm_candidates(spec)]
+    warm = _warm_scored(spec)
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     starts = _warm_param_starts(spec)[: cfg.restarts]

@@ -219,14 +219,39 @@ def _reference_fast_ratio(zeros, xs):
     return num / den
 
 
+def _reference_zeros_from_params(p, spec):
+    """The parameter map with np.clip, as the search first wrote it."""
+    a, b = p[..., 0::2], p[..., 1::2]
+    nc = spec.n - spec.k
+    r = np.clip(a[..., :nc], 0.0, 1.0)
+    th = np.clip(b[..., :nc], 0.0, np.pi)
+    re = np.concatenate([r * np.cos(th), 3.0 * np.tanh(a[..., nc:])], axis=-1)
+    im = np.concatenate([r * np.sin(th), 3.0 * np.tanh(b[..., nc:])], axis=-1)
+    if spec.pin_interval_zero and spec.n >= 1:
+        re[..., 0] = np.clip(a[..., 0], -1.0, 1.0)
+        im[..., 0] = 0.0
+    return re + 1j * im
+
+
 def test_fast_ratio_stack_matches_single_points():
     spec = ClassSpec(16, 5, pin_interval_zero=True)
     xs = _cheb_grid(-1.0, 1.0, 16 * spec.n)
     params = np.random.default_rng(5).normal(0.0, 1.0, (96, 2 * spec.n))
     params[:8, 0] = xs[[0, 3, 40, 127, 128, 200, 254, 255]]  # a zero on a grid point
-    # 96 rows x 256 points of complex values: 384 KiB per product, above
+    # parameters on each clamp, just outside it, at -0.0 and deep in the
+    # tanh tails: the constrained pairs 1..10 of 13 rows run through every
+    # (a, b) pair of these values, and the pinned and free slots see each
+    edges = [0.0, -0.0, 1.0, -1.0, np.pi, 40.0, -40.0, np.nextafter(0.0, -1.0),
+             np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), np.nextafter(np.pi, 4.0)]
+    pairs = [(a, b) for a in edges for b in edges]
+    params = np.concatenate([params, [[v for m in range(spec.n)
+                                       for v in pairs[(10 * r + m - 1) % len(pairs)]]
+                                      for r in range(13)]])
+    zeros = _zeros_from_params(params, spec)
+    assert zeros.tobytes() == _reference_zeros_from_params(params, spec).tobytes()
+    # 109 rows x 256 points of complex values: 436 KiB per product, above
     # the size at which numpy starts reusing temporaries in place
-    stacked = search._fast_ratio(1.0, _zeros_from_params(params, spec), xs)
+    stacked = search._fast_ratio(1.0, zeros, xs)
     single = [search._fast_ratio(1.0, _zeros_from_params(p, spec), xs)
               for p in params]
     reference = [_reference_fast_ratio(_zeros_from_params(p, spec), xs)
@@ -234,6 +259,45 @@ def test_fast_ratio_stack_matches_single_points():
     assert np.array_equal(stacked, single)
     assert np.array_equal(stacked, reference)
     assert np.all(stacked[:8] < 1e18)
+
+
+_MEMO_SPECS = [ClassSpec(n, k, pin_interval_zero=pin)
+               for pin in (True, False) for n, k in ((6, 0), (6, 2), (8, 2))]
+
+
+def _search_fingerprint(res):
+    return repr((res.ratio.value, res.ratio.err, res.trace, res.warm_best,
+                 res.best.zeros, res.evals, res.params))
+
+
+def test_warm_certificate_memo_changes_no_result(monkeypatch):
+    cfg = SearchConfig(budget=300, restarts=2, seed=3)
+    memo = {}
+    monkeypatch.setattr(search, "_WARM_CERTS", memo)
+    cold = []
+    for spec in _MEMO_SPECS:
+        memo.clear()
+        cold.append(_search_fingerprint(minimize_ratio(spec, cfg)))
+    filled = [_search_fingerprint(minimize_ratio(spec, cfg))
+              for spec in reversed(_MEMO_SPECS)]
+    assert filled[::-1] == cold
+
+
+def test_sweep_certifies_each_warm_candidate_once(monkeypatch):
+    monkeypatch.setattr(search, "_WARM_CERTS", {})
+    calls = []
+    ratio = search.turan_ratio
+
+    def counted(P, *args):
+        calls.append(P.zeros)
+        return ratio(P, *args)
+
+    monkeypatch.setattr(search, "turan_ratio", counted)
+    frontier_sweep([8], [0, 2, 4], SearchConfig(budget=200, restarts=2, seed=4))
+    warm = {P.zeros for k in (0, 2, 4)
+            for _, P in search._warm_candidates(ClassSpec(8, k, True))}
+    assert len(warm) == 9 + 7 + 5                # degrees 8, 6 and 4
+    assert all(calls.count(z) == 1 for z in warm)
 
 
 def _coefficient_objective(monkeypatch, run):
