@@ -113,9 +113,14 @@ def _values(P: Polynomial, xs, order: int) -> np.ndarray:
     step = max(1, _BROADCAST_LIMIT // zs.size)
     for lo in range(0, x.size, step):
         sl = slice(lo, lo + step)
-        diffs = x[None, sl] - zs[:, None]
+        xc = x[sl]
+        n = xc.size
+        # numpy reduces a lone column over the zeros in another order than
+        # the columns of a batch: a point evaluated as a pair gets the bits
+        # it gets in any batch
+        diffs = (np.repeat(xc, 2) if n == 1 else xc)[None, :] - zs[:, None]
         if order == 0:
-            out[0, sl] = P.leading * np.prod(diffs, axis=0)
+            out[0, sl] = (P.leading * np.prod(diffs, axis=0))[:n]
             continue
         hit = diffs == 0
         mu = hit.sum(axis=0) if hit.any() else None
@@ -136,7 +141,7 @@ def _values(P: Polynomial, xs, order: int) -> np.ndarray:
                 val = np.where(mu == 0, val, 0.0)
                 for m in range(1, j + 1):
                     val = np.where(mu == m, math.perm(j, m) * jets[j - m], val)
-            out[j, sl] = val
+            out[j, sl] = val[:n]
     return out
 
 

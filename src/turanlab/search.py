@@ -216,6 +216,13 @@ def _nelder_mead(objective, sim, budget: int, xatol: float):
     after j evaluations has moved vertex j + 1 and keeps its old value
     there.  Returns each restart's final simplex, sorted (its vertex 0 is
     the end point), the values at its vertices and its evaluations.
+
+    The moves are those of scipy.optimize.minimize(method="Nelder-Mead")
+    only for objectives that never return NaN: a NaN reflection is taken
+    here as a plain one, where scipy contracts.  Every search objective in
+    this module returns 1e18 in place of a ratio it cannot form (_fast_ratio
+    on a zero or non-finite maximum of |P|, coefficient_search's on a
+    vanishing denominator).
     """
     restarts, n1, dim = sim.shape
     fsim = np.full((restarts, n1), np.inf)

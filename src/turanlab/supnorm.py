@@ -9,13 +9,15 @@ that each cell holds, for every F asked for, at most one root of h, or no
 value of |F| above the maximum found so far; the Taylor series of P on a
 cell is built once (a zero at a time, in whole-row products that round as
 the plain recurrence does) and gives those of P and P'.  A sign scan of
-each h over the final cells then finds every root that matters, and all of
-them are narrowed together by Illinois steps (regula falsi, safeguarded by
-bisection).  The maximum of |F| over the cell ends and its roots, all
-evaluated in factored form, is the value; its radius is 64(d+1) eps times
-the value, plus the rounding bound of the values (P' = P sum 1/(x - z_i)
-can cancel) and whatever a flat maximum or a cell given up on could still
-hide.  Total variation uses the same cell test on the roots of P'.
+each h over the final cells then finds every root that matters; those in
+cells whose certified top of |F| could still exceed the largest |F| over
+the cell ends are narrowed together by Illinois steps (regula falsi,
+safeguarded by bisection).  The maximum of |F| over the cell ends and the
+narrowed roots, all evaluated in factored form, is the value; its radius
+is 64(d+1) eps times the value, plus the rounding bound of the values
+(P' = P sum 1/(x - z_i) can cancel) and whatever a flat maximum or a cell
+given up on could still hide.  Total variation uses the same cell test on
+the roots of P'.
 """
 
 from __future__ import annotations
@@ -283,11 +285,20 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     |F| stays below the maximum found so far plus the radius, as at flat
     maxima like that of (x^4 - 1)^n at 0.  A half of a cell keeps what was
     proven on the whole, so a cell one order bisects still serves the
-    other.  The roots in sign-change cells of all orders are then narrowed
-    together, and each maximum is taken over the cell ends and all those
-    roots.  Any possible excess over each maximum joins its radius: from
-    cells accepted by the last test or given up on, and from the rounding
-    of the values.
+    other.  Each maximum is taken over the cell ends and the roots in
+    sign-change cells, all orders' roots narrowed together.  Any possible
+    excess over each maximum joins its radius: from cells accepted by the
+    last test or given up on, and from the rounding of the values.
+
+    Only roots that could raise a maximum are narrowed.  The test records,
+    for each cell it accepts, top, its certified bound on |F| there (the
+    bound the radius already trusts for flat cells).  A root of order o is
+    dropped when its cell's top is below floor_o (1 - 64 eps), floor_o the
+    largest computed |F_o| over the cell ends.  The reported value is at
+    least floor_o, and the margin covers the rounding of top, so |F_o|
+    stays below the value on that cell: the radius still holds, and the
+    root would have fallen outside the argmax's 64-eps band.  Cells given
+    up on have no record, and their roots are always narrowed.
     """
     out = {o: (0.0, 0.0, I.lo) for o in orders}
     orders = [o for o in orders if not P.is_zero and P.degree >= o]
@@ -298,6 +309,8 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     xtol = 1e-13 * max(1.0, I.length)
     rho = [64.0 * (P.degree - o + 1) * _EPS for o in orders]
     best, ceiling = [0.0] * len(orders), [0.0] * len(orders)
+    # (left ends, top per order) of the cells test accepts
+    cells = [(np.zeros(0), np.zeros((len(orders), 0)))]
 
     def test(a, b, full):
         ok, tops = np.ones(a.size, dtype=bool), []
@@ -311,11 +324,20 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
             ok &= (_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2)
                    | flat)
             tops.append(top)
+        # a zero-width cell (a midpoint rounded onto an end) would share its
+        # left end with the next cell
+        keep = ok & (b > a)
+        cells.append((a[keep], np.array(tops)[:, keep]))
         return ok, tops
 
     x, la, lb = _refine(_engine_grid(P, I),
                         lambda a, b: _settle_cheap_then_full(test, a, b),
                         xtol, P.degree)
+    # the certified top of |F| on each final cell, per order; inf on the
+    # cells given up on, which have no record
+    cell_top = np.full((len(orders), x.size - 1), np.inf)
+    at = np.searchsorted(x, np.concatenate([c[0] for c in cells]), side="right") - 1
+    cell_top[:, at] = np.concatenate([c[1] for c in cells], axis=1)
     if la.size:
         ceiling = [max(c, float(np.max(t)))
                    for c, t in zip(ceiling, test(la, lb, False)[1])]
@@ -329,7 +351,11 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     v = _values(P, x, orders[-1] + 1)
     hx = 2.0 * (np.conj(v[:-1]) * v[1:]).real
     sx = np.sign(hx[orders])
-    row, cell = np.nonzero(sx[:, :-1] * sx[:, 1:] < 0)
+    # only roots in cells whose top reaches the largest |F| over the cell
+    # ends (floor) can raise the maximum
+    floor = np.max(np.abs(v[orders]), axis=1)
+    low = cell_top < floor[:, None] * (1.0 - 64.0 * _EPS)
+    row, cell = np.nonzero((sx[:, :-1] * sx[:, 1:] < 0) & ~low)
     which = np.asarray(orders)[row]
     roots = _narrow(h, x[cell], x[cell + 1], hx[which, cell], hx[which, cell + 1],
                     xtol, which if len(orders) > 1 else None)

@@ -17,6 +17,7 @@ from turanlab import (
     from_zeros,
     to_payload,
 )
+from turanlab.poly import _values
 
 
 def test_interval_defaults():
@@ -121,3 +122,21 @@ def test_payload_is_lossless_for_doubles():
     P = from_zeros(leading, [z])
     Q = from_payload(to_payload(P))
     assert Q.leading == P.leading and Q.zeros[0] == z
+
+
+@pytest.mark.parametrize("degree", [3, 60, 200])
+def test_kernel_values_do_not_depend_on_the_batch(degree):
+    # numpy reduces a lone column over the zeros in another order than the
+    # columns of a batch; every point must get the same bits in a batch of
+    # any size, also on a zero (index 0)
+    rng = np.random.default_rng(degree)
+    zeros = rng.uniform(-1.2, 1.2, degree) + 1j * rng.normal(0.0, 0.3, degree)
+    zeros[0] = 0.3
+    P = from_zeros(0.7 - 0.2j, zeros)
+    xs = np.concatenate([[0.3], rng.uniform(-1.0, 1.0, 98)])
+    for order in range(3):
+        batch = _values(P, xs, order)
+        for n in (1, 2, 3, 33):
+            for i in range(0, xs.size - n + 1, n):
+                assert np.array_equal(_values(P, xs[i:i + n], order),
+                                      batch[:, i:i + n]), (order, n, i)

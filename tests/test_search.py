@@ -261,6 +261,20 @@ def test_fast_ratio_stack_matches_single_points():
     assert np.all(stacked[:8] < 1e18)
 
 
+def test_fast_ratio_is_finite_where_it_cannot_form_a_ratio():
+    # _nelder_mead follows scipy only on objectives that never return NaN
+    xs = _cheb_grid(-1.0, 1.0, 64)
+    zeros = np.random.default_rng(11).uniform(-1.0, 1.0, (5, 6)) + 0j
+    zeros[0, 2] = xs[5]                        # a zero on a grid point
+    zeros[1] = 1e200                           # |P| overflows to inf
+    zeros[2, :3] = 1e300 + 1e300j              # and to nan
+    zeros[3, 0], zeros[3, 1:] = xs[0], 1e80    # inf times a zero factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = search._fast_ratio(1.0, zeros, xs)
+    assert np.all(np.isfinite(ratios)), ratios
+    assert np.all(ratios[1:4] == 1e18) and np.all(ratios[[0, 4]] < 1e18), ratios
+
+
 _MEMO_SPECS = [ClassSpec(n, k, pin_interval_zero=pin)
                for pin in (True, False) for n, k in ((6, 0), (6, 2), (8, 2))]
 

@@ -20,6 +20,7 @@ from turanlab import (
     total_variation,
     turan_ratio,
 )
+from turanlab import supnorm
 from turanlab.poly import Polynomial
 from turanlab.supnorm import _engine_grid, _majorants, _narrow, _series
 
@@ -324,6 +325,69 @@ def test_one_pass_degenerate_cases():
     with pytest.raises(ValueError):
         turan_ratio(zero, I)
 
+
+
+def test_turan_ratio_narrows_no_root_that_cannot_raise_a_maximum(monkeypatch):
+    # |P| and |P'| peak at -1, a cell end, and the certified top of every
+    # cell with a critical point inside stays below the values there
+    P = sample(ClassSpec(120, 20, pin_interval_zero=True), seed=3)
+    assert argmax_abs(P) == argmax_abs_derivative(P) == -1.0
+    brackets = []
+    narrow = supnorm._narrow
+
+    def counting(f, a, *args, **kwargs):
+        brackets.append(a.size)
+        return narrow(f, a, *args, **kwargs)
+
+    monkeypatch.setattr(supnorm, "_narrow", counting)
+    cv = turan_ratio(P)
+    assert sum(brackets) == 0, brackets
+    lead, zeros = P.leading, P.zeros
+    lower = zero_list_grid_max(lead, zeros, 1) / zero_list_sup_upper(lead, zeros, 0)
+    upper = zero_list_sup_upper(lead, zeros, 1) / zero_list_grid_max(lead, zeros, 0)
+    assert cv.err <= 1e-9 * cv.value, cv
+    assert lower - cv.err <= cv.value <= upper + cv.err, (lower, cv, upper)
+
+
+_T40_ZEROS = [math.cos((2 * j - 1) * math.pi / 80) for j in range(1, 41)]
+
+
+def test_sup_norm_of_chebyshev_polynomial_with_tied_maxima():
+    # |T_40| reaches 1 at all 41 points cos(j pi / 40): every interior
+    # maximum ties with the ends, so none may be dropped or win the argmax
+    T = from_zeros(2.0 ** 39, _T40_ZEROS)
+    cv = sup_norm(T)
+    assert abs(cv.value - 1.0) <= cv.err <= 1e-9, cv
+    assert argmax_abs(T) == -1.0
+
+
+@pytest.mark.parametrize("case", ["extremum", "end-cell"])
+def test_sup_norm_of_an_interior_maximum_just_above_the_end(case):
+    # |P| peaks at c, and its value at the end -1, a cell end, comes second
+    # by gap relative: the cell of the peak must be narrowed although the
+    # largest value over the cell ends is that close to it
+    if case == "extremum":
+        # |T_40| (R^2 - (x - c)^2) / R^2 peaks at the extremum
+        # c = -cos(pi/40) of T_40; the next extremum is 9e-9 below
+        c = -math.cos(math.pi / 40)
+        R = (1.0 + c) / math.sqrt(1e-9)
+        lead, zeros, gap = -2.0 ** 39 / R ** 2, _T40_ZEROS + [c + R, c - R], 1e-9
+    else:
+        # 21 factors R^2 - (x - c)^2, R = 10, peak at c inside the first
+        # grid cell [-1, -1 + 4.2e-5], whose certified top lies within 1e-9
+        # relative of the values at its ends
+        c = -1.0 + 2e-5
+        lead, zeros, gap = 1e-42, [c + s for _ in range(21) for s in (10.0, -10.0)], 8.4e-11
+    peak = abs(zero_list_values(lead, zeros, [c])[0])
+    end = abs(zero_list_values(lead, zeros, [-1.0])[0])
+    assert abs(1.0 - end / peak - gap) <= 0.1 * gap
+    P = from_zeros(lead, zeros)
+    cv = sup_norm(P)
+    assert cv.err <= 1e-9 * cv.value, cv
+    assert cv.value + cv.err >= peak, (cv, peak)
+    assert cv.value + cv.err >= zero_list_grid_max(lead, zeros, 0)
+    assert cv.value - cv.err <= zero_list_sup_upper(lead, zeros, 0)
+    assert abs(argmax_abs(P) - c) <= 1e-9
 
 
 def test_narrow_closes_labelled_brackets_to_xtol():
