@@ -25,7 +25,7 @@ from .bounds import turan_ratio, turan11_lower
 from .classes import ClassSpec, MembershipReport, is_member
 from .errors import RegimeError
 from .poly import Interval, Polynomial, from_zeros
-from .search import SearchConfig, coefficient_search
+from .search import SearchConfig, _warm_family, coefficient_search
 from .supnorm import CertifiedValue, argmax_abs_derivative, sup_norm
 
 
@@ -144,12 +144,8 @@ def classical_family(name: str, m: int) -> ConstructionReport:
         raise ValueError(f"unknown family: {name!r}")
     if m < 1:
         raise ValueError("needs m >= 1")
-    zeros = [1.0, -1.0] * m
-    if name == "turan-odd":
-        zeros.append(-1.0)
-    deg = len(zeros)
-    P = from_zeros(1.0, zeros)
-    ratio = turan_ratio(P)
+    deg = 2 * m + 1 if name == "turan-odd" else 2 * m
+    ratio, P = _warm_family(deg)[0]           # the Turan-ordered member
     check = is_member(P, ClassSpec(deg, 0, pin_interval_zero=True))
     details = {
         "degree": deg,

@@ -9,11 +9,12 @@ each stage of a step sends every restart's pending points to one call of
 a batched grid estimate.  The searches are
 
 * ``minimize_ratio``: ||P'||/||P|| over the half-disk class, on the
-  clamped/tanh parametrization from :mod:`turanlab.classes`, with a small
-  set of structured warm candidates (interval-zero families like x - 1 and
-  products of (x^2 - 1)) scored before the descents.  A warm candidate
-  depends only on its degree, so its certificate is computed once per
-  process per degree family and shared by every class of that degree;
+  clamped/tanh parametrization from :mod:`turanlab.classes`.  Before the
+  descents it scores, at degrees n and max(n - k, 1), a warm family of at
+  most four members with every zero at +-1: the Turan-ordered product of
+  (x - 1) and (x + 1), (x + 1)^d, (x - 1)^d and, at odd d, the mirror
+  split.  A family depends only on its degree, so it is certified once per
+  process and shared by every class that scores that degree;
 * ``coefficient_search``: a ratio of Q = y^(m+1) S(y) over the
   coefficients of S, behind ``minimize_incomplete_ratio`` (denominator
   |Q(1)|, V_0^1(Q) or ||Q||_[0,1]) and ``constructions.thm24_construct``.
@@ -24,6 +25,7 @@ them; a search value is only ever an upper estimate of the true infimum.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -44,7 +46,6 @@ from .classes import (
     _zeros_from_params,
     embed,
     incomplete_member,
-    is_member,
 )
 from .errors import SearchFailure, TuranLabError
 from .poly import Interval, Polynomial, evaluate, from_zeros
@@ -100,11 +101,12 @@ class SearchResult:
     warm_best: float | None = None
 
 
-def _fast_ratio(leading: complex, zeros: np.ndarray, xs: np.ndarray):
-    """Grid estimate of ||P'||/||P|| from the factored form, for each zero
-    list on the last axis of ``zeros`` (one list gives a 0-d array)."""
+def _fast_ratio(zeros: np.ndarray, xs: np.ndarray):
+    """Grid estimate of ||P'||/||P|| from the factored form of the monic P,
+    for each zero list on the last axis of ``zeros`` (one list gives a 0-d
+    array)."""
     diffs = xs - zeros[..., :, None]
-    vals = leading * np.multiply.reduce(diffs, axis=-2)
+    vals = np.multiply.reduce(diffs, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.add.reduce(1.0 / diffs, axis=-2)
         # A fresh output keeps a stack's rows equal to single rows: numpy
@@ -118,57 +120,23 @@ def _fast_ratio(leading: complex, zeros: np.ndarray, xs: np.ndarray):
         return np.where((den > 0.0) & np.isfinite(den), num / den, 1e18)
 
 
-def _turan_family_zeros(d: int) -> list:
-    zeros = [1.0, -1.0] * (d // 2)
-    if d % 2:
-        zeros.append(-1.0)
-    return [complex(z) for z in zeros]
-
-
-# CertifiedValue of each warm candidate certified so far in this process,
-# keyed by (degree d, split a): split a is (x-1)^a (x+1)^(d-a) with its
-# zeros in that order, split None the Turan-ordered member of degree d
-# (the two orders round differently).  Neither depends on the class, so
-# every class that shares a degree shares the certificates; d + 2 entries
-# per degree seen.  Each entry is an immutable CertifiedValue fixed by its
-# key, so the sharing cannot change a result.
-_WARM_CERTS: dict = {}
-
-
-def _warm_candidates(spec: ClassSpec) -> list:
-    """Structured members worth scoring directly (may beat the optimizer,
-    e.g. low-degree witnesses the full-degree parametrization cannot reach),
-    each as a ((degree, split), member) pair."""
-    cands = []
-    degrees = {spec.n, max(spec.n - spec.k, 1)}
-    for d in degrees:
-        cands.append(((d, None), _turan_family_zeros(d)))
-        # endpoint multiplicity splits (x-1)^a (x+1)^(d-a)
-        for a in range(d + 1):
-            cands.append(((d, a), [1.0] * a + [-1.0] * (d - a)))
-    if spec.n - spec.k <= 1:
-        cands.append(((1, 1), [1.0]))
-        cands.append(((1, 0), [-1.0]))
-    seen = set()
-    out = []
-    for key, zeros in cands:
-        P = from_zeros(1.0, zeros)
-        sorted_zeros = tuple(sorted((z.real, z.imag) for z in P.zeros))
-        if sorted_zeros not in seen and is_member(P, spec):
-            seen.add(sorted_zeros)
-            out.append((key, P))
-    return out
-
-
-def _warm_scored(spec: ClassSpec) -> list:
-    """(turan_ratio(P), P) for each warm candidate P, each certified once
-    per process."""
-    out = []
-    for key, P in _warm_candidates(spec):
-        if key not in _WARM_CERTS:
-            _WARM_CERTS[key] = turan_ratio(P)
-        out.append((_WARM_CERTS[key], P))
-    return out
+@functools.cache
+def _warm_family(d: int) -> tuple:
+    """(turan_ratio(P), P) for the warm members of degree d, certified once
+    per process: the Turan-ordered (x-1)(x+1)(x-1)..., (x+1)^d, at odd d
+    the mirror split (x-1)^(d//2+1) (x+1)^(d//2), and (x-1)^d.  The first
+    lowest of all endpoint splits (x-1)^a (x+1)^(d-a) is among them
+    (tests/test_search.py checks d <= 40).  Their zeros are all at +-1, so
+    each is a member of every class (n, k) with n - k <= d <= n, pinned or
+    not."""
+    members = [[1.0, -1.0] * (d // 2) + [-1.0] * (d % 2)]
+    if d > 1:                       # at d = 1 the Turan member is x + 1
+        members.append([-1.0] * d)
+        if d % 2:
+            members.append([1.0] * (d // 2 + 1) + [-1.0] * (d // 2))
+    members.append([1.0] * d)
+    return tuple((turan_ratio(P), P)
+                 for P in (from_zeros(1.0, zeros) for zeros in members))
 
 
 def _warm_param_starts(spec: ClassSpec) -> list:
@@ -373,7 +341,8 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
     if spec.n == 0:
         raise SearchFailure("class of constants has no meaningful ratio")
     xs = _cheb_grid(-1.0, 1.0, max(64, 16 * spec.n))
-    warm = _warm_scored(spec)
+    warm = [w for d in {spec.n, max(spec.n - spec.k, 1)}
+            for w in _warm_family(d)]
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     starts = _warm_param_starts(spec)[: cfg.restarts]
@@ -396,7 +365,7 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
         return turan_ratio(P), P
 
     (cert, P, x), evals, trace = _lowest_certified(
-        lambda p: _fast_ratio(1.0, _zeros_from_params(p, spec), xs),
+        lambda p: _fast_ratio(_zeros_from_params(p, spec), xs),
         spec.n * xs.size, starts, cfg.budget, 1e-10, certify, warm)
     bracket = thm21_bracket(spec.n, spec.k)
     return SearchResult(
@@ -404,7 +373,7 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
         within_bracket=bracket_pass(cert, bracket), evals=evals,
         restarts_used=cfg.restarts,
         params=None if x is None else tuple(float(v) for v in x),
-        warm_best=min((c.value for c, _ in warm), default=None))
+        warm_best=min(c.value for c, _ in warm))
 
 
 def coefficient_search(m: int, k: int, cfg: SearchConfig, estimate, certify):

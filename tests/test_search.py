@@ -11,11 +11,13 @@ from turanlab import (
     SearchFailure,
     bracket_pass,
     frontier_sweep,
+    from_zeros,
     is_member,
     minimize_incomplete_ratio,
     minimize_ratio,
     thm21_bracket,
     thm24_construct,
+    turan_ratio,
 )
 from turanlab.classes import _zeros_from_params
 from turanlab.supnorm import _cheb_grid
@@ -165,8 +167,8 @@ NM_OBJECTIVES = {
     # integer steps: runs of equal values, so argsort's tie order matters
     # and shrinks are frequent
     "plateaus": (3, lambda X: np.sum(np.floor(2.0 * X), axis=-1)),
-    "fast-ratio": (6, lambda X: search._fast_ratio(
-        1.0, _zeros_from_params(X, _SPEC), _XS)),
+    "fast-ratio": (6, lambda X: search._fast_ratio(_zeros_from_params(X, _SPEC),
+                                                   _XS)),
 }
 # below dim + 1, every cut point of the first steps (shrinks included), and
 # budgets at which runs stop on xatol/fatol
@@ -251,8 +253,8 @@ def test_fast_ratio_stack_matches_single_points():
     assert zeros.tobytes() == _reference_zeros_from_params(params, spec).tobytes()
     # 109 rows x 256 points of complex values: 436 KiB per product, above
     # the size at which numpy starts reusing temporaries in place
-    stacked = search._fast_ratio(1.0, zeros, xs)
-    single = [search._fast_ratio(1.0, _zeros_from_params(p, spec), xs)
+    stacked = search._fast_ratio(zeros, xs)
+    single = [search._fast_ratio(_zeros_from_params(p, spec), xs)
               for p in params]
     reference = [_reference_fast_ratio(_zeros_from_params(p, spec), xs)
                  for p in params]
@@ -270,7 +272,7 @@ def test_fast_ratio_is_finite_where_it_cannot_form_a_ratio():
     zeros[2, :3] = 1e300 + 1e300j              # and to nan
     zeros[3, 0], zeros[3, 1:] = xs[0], 1e80    # inf times a zero factor
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = search._fast_ratio(1.0, zeros, xs)
+        ratios = search._fast_ratio(zeros, xs)
     assert np.all(np.isfinite(ratios)), ratios
     assert np.all(ratios[1:4] == 1e18) and np.all(ratios[[0, 4]] < 1e18), ratios
 
@@ -284,13 +286,11 @@ def _search_fingerprint(res):
                  res.best.zeros, res.evals, res.params))
 
 
-def test_warm_certificate_memo_changes_no_result(monkeypatch):
+def test_warm_certificate_memo_changes_no_result():
     cfg = SearchConfig(budget=300, restarts=2, seed=3)
-    memo = {}
-    monkeypatch.setattr(search, "_WARM_CERTS", memo)
     cold = []
     for spec in _MEMO_SPECS:
-        memo.clear()
+        search._warm_family.cache_clear()
         cold.append(_search_fingerprint(minimize_ratio(spec, cfg)))
     filled = [_search_fingerprint(minimize_ratio(spec, cfg))
               for spec in reversed(_MEMO_SPECS)]
@@ -298,7 +298,7 @@ def test_warm_certificate_memo_changes_no_result(monkeypatch):
 
 
 def test_sweep_certifies_each_warm_candidate_once(monkeypatch):
-    monkeypatch.setattr(search, "_WARM_CERTS", {})
+    search._warm_family.cache_clear()
     calls = []
     ratio = search.turan_ratio
 
@@ -308,10 +308,52 @@ def test_sweep_certifies_each_warm_candidate_once(monkeypatch):
 
     monkeypatch.setattr(search, "turan_ratio", counted)
     frontier_sweep([8], [0, 2, 4], SearchConfig(budget=200, restarts=2, seed=4))
-    warm = {P.zeros for k in (0, 2, 4)
-            for _, P in search._warm_candidates(ClassSpec(8, k, True))}
-    assert len(warm) == 9 + 7 + 5                # degrees 8, 6 and 4
+    warm = {P.zeros for d in (8, 6, 4) for _, P in search._warm_family(d)}
+    assert len(warm) == 3 + 3 + 3                # degrees 8, 6 and 4
     assert all(calls.count(z) == 1 for z in warm)
+
+
+def _full_split_sweep(d, known):
+    """(certified value, zeros) of the Turan-ordered member of degree d and
+    then of every endpoint split (x-1)^a (x+1)^(d-a), a = 0..d, in that
+    order, each zero multiset once: all the endpoint-split candidates of
+    one degree, of which _warm_family keeps at most four.  A zero list in
+    ``known`` (zeros -> value) takes that value in place of a new
+    certificate."""
+    lists = [[1.0, -1.0] * (d // 2) + [-1.0] * (d % 2)]
+    lists += [[1.0] * a + [-1.0] * (d - a) for a in range(d + 1)]
+    seen, out = set(), []
+    for zeros in lists:
+        if tuple(sorted(zeros)) not in seen:
+            seen.add(tuple(sorted(zeros)))
+            P = from_zeros(1.0, zeros)
+            value = known.get(P.zeros)
+            out.append((turan_ratio(P).value if value is None else value,
+                        P.zeros))
+    return out
+
+
+def test_warm_family_holds_the_first_lowest_split():
+    for d in range(1, 41):
+        family = {P.zeros: cert.value for cert, P in search._warm_family(d)}
+        assert len(family) == len(search._warm_family(d)) <= 4, d
+        sweep = _full_split_sweep(d, family)
+        low = min(v for v, _ in sweep)
+        first = next(z for v, z in sweep if v == low)
+        # the same zeros in the same order, and the same bits as a new
+        # certificate
+        assert first in family, d
+        assert turan_ratio(from_zeros(1.0, first)).value == low, d
+
+
+def test_warm_family_members_belong_to_every_class_scored():
+    for d in range(1, 9):
+        for n in range(d, d + 4):
+            for k in range(n - d, n + 1):
+                for pin in (True, False):
+                    spec = ClassSpec(n, k, pin_interval_zero=pin)
+                    for _, P in search._warm_family(d):
+                        assert is_member(P, spec).ok, (d, spec, P.zeros)
 
 
 def _coefficient_objective(monkeypatch, run):
