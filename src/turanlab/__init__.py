@@ -11,11 +11,11 @@ from .bounds import (
     BoundBracket,
     Verdict,
     bracket_pass,
+    class_brackets,
     cor23_lower,
     evaluate_verdict,
     komarov_lower,
     lemma34_bracket,
-    thm21_bracket,
     thm22_lower,
     turan11_lower,
     turan_ratio,

@@ -8,6 +8,10 @@ default interval [-1, 1]:
 * n - k zeros in the half-disk,
   one zero on [-1,1], k >= 1     -> max(1/2, sqrt((n-k)/k)/808),
   and for k <= n/163000 the sharper sqrt((n-k)/(8k))/202.
+
+``class_brackets`` alone decides which of the last three hold for every
+member of a class; verdicts add the first, and searches report the
+strongest class bound.
 """
 
 from __future__ import annotations
@@ -27,17 +31,14 @@ THM22_REGIME = 163_000  # the sharper constant needs k <= n / THM22_REGIME
 
 @dataclass(frozen=True)
 class BoundBracket:
-    """[lower, upper] prediction; upper is None when no upper bound applies."""
+    """A lower bound on the ratio and the result it comes from."""
 
     lower: float
-    upper: float | None
     source: str
 
     def __post_init__(self):
         if self.lower < 0:
             raise ValueError("lower bound must be nonnegative")
-        if self.upper is not None and self.upper < self.lower:
-            raise ValueError("bracket needs lower <= upper")
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def _quotient(num: float, num_err: float, den: float,
     """num/den (den > 0) with the radius propagated from both radii."""
     value = num / den
     err = (num_err + value * den_err) / max(den - den_err, 1e-300)
-    return CertifiedValue(value, err, "critical-points")
+    return CertifiedValue(value, err)
 
 
 def turan11_lower(n: int) -> float:
@@ -97,53 +98,30 @@ def cor23_lower(n: int, k: int) -> float:
     return max(0.5, math.sqrt((n - k) / k) / 808.0)
 
 
-def thm21_bracket(n: int, k: int, c1: float | None = None,
-                  c2: float | None = None) -> BoundBracket:
-    """Bracket c1*sqrt(n/(k+1)) <= f(n,k) <= c2*sqrt(n/(k+1)).
-
-    With c1 unset, the lower edge defaults to the explicit constants:
-    A*sqrt(n) at k = 0 and the interval-zero bound at k >= 1 (equivalent to
-    folding the conversion factor between the k and k+1 normalizations into
-    c1).  With c2 unset the bracket is one-sided; numeric upper edges come
-    from construction sweeps.
-    """
-    if not (0 <= k <= n):
-        raise ValueError(f"needs 0 <= k <= n, got n={n}, k={k}")
-    if (c1 is not None and c1 <= 0) or (c2 is not None and c2 <= 0):
-        raise ValueError("constants must be positive")
-    s = math.sqrt(n / (k + 1.0)) if n >= 1 else 0.0
-    if c1 is not None:
-        lower = c1 * s
-    elif n == 0:
-        lower = 0.0
-    elif k == 0:
-        lower = komarov_lower(n)
-    else:
-        lower = cor23_lower(n, k)
-    upper = c2 * s if c2 is not None else None
-    return BoundBracket(lower, upper, "thm21")
+def class_brackets(spec: ClassSpec) -> tuple:
+    """The lower bounds that hold for every member of the class, in verdict
+    order: Komarov's at k = 0 (every zero in the half-disk), Thm 2.2's in
+    its regime, and Cor 2.3's when a zero is pinned to [-1, 1] and k >= 1."""
+    n, k = spec.n, spec.k
+    brackets = []
+    if k == 0 and n >= 1:
+        brackets.append(BoundBracket(komarov_lower(n), "komarov"))
+    if k >= 1 and k * THM22_REGIME <= n:
+        brackets.append(BoundBracket(thm22_lower(n, k), "thm22"))
+    if spec.pin_interval_zero and k >= 1:
+        brackets.append(BoundBracket(cor23_lower(n, k), "cor23"))
+    return tuple(brackets)
 
 
-def lemma34_bracket(n: int, k: int, c4: float | None = None) -> BoundBracket:
-    """Bracket for the incomplete-class minimum: lower (n-k)/(12k).
-
-    The upper constant is not pinned down anywhere; when c4 is supplied the
-    bracket carries c4*n/k as a *reported* upper edge (sweeps calibrate it),
-    otherwise the bracket is one-sided.
-    """
+def lemma34_bracket(n: int, k: int) -> BoundBracket:
+    """Lower bound (n-k)/(12k) on the incomplete-class minimum."""
     if not (1 <= k <= n - 1):
         raise ValueError(f"needs 1 <= k <= n-1, got n={n}, k={k}")
-    lower = (n - k) / (12.0 * k)
-    if c4 is None:
-        return BoundBracket(lower, None, "lemma34-lower")
-    return BoundBracket(lower, max(c4 * n / k, lower), "lemma34-upper")
+    return BoundBracket((n - k) / (12.0 * k), "lemma34-lower")
 
 
 def bracket_pass(ratio: CertifiedValue, bracket: BoundBracket) -> bool:
-    ok = ratio.value + ratio.err >= bracket.lower
-    if bracket.upper is not None:
-        ok = ok and ratio.value - ratio.err <= bracket.upper
-    return ok
+    return ratio.value + ratio.err >= bracket.lower
 
 
 def evaluate_verdict(P: Polynomial, spec: ClassSpec) -> Verdict:
@@ -152,15 +130,8 @@ def evaluate_verdict(P: Polynomial, spec: ClassSpec) -> Verdict:
     if not rep:
         raise MembershipError(f"not a class member: {rep.detail}")
     ratio = turan_ratio(P)
-    brackets = []
-    d = P.degree
-    if d >= 1 and all(_on_interval(z) for z in P.zeros):
-        brackets.append(BoundBracket(turan11_lower(d), None, "turan11"))
-    if spec.k == 0 and spec.n >= 1:
-        brackets.append(BoundBracket(komarov_lower(spec.n), None, "komarov"))
-    if spec.k >= 1 and spec.k * THM22_REGIME <= spec.n:
-        brackets.append(BoundBracket(thm22_lower(spec.n, spec.k), None, "thm22"))
-    if spec.pin_interval_zero and spec.k >= 1 and rep.pinned_index is not None:
-        brackets.append(BoundBracket(cor23_lower(spec.n, spec.k), None, "cor23"))
+    brackets = class_brackets(spec)
+    if P.degree >= 1 and all(_on_interval(z) for z in P.zeros):
+        brackets = (BoundBracket(turan11_lower(P.degree), "turan11"),) + brackets
     passes = tuple(bracket_pass(ratio, b) for b in brackets)
-    return Verdict(ratio, tuple(brackets), passes)
+    return Verdict(ratio, brackets, passes)

@@ -107,8 +107,7 @@ def _cmd_verdict(args) -> int:
     if args.format == "json":
         _emit_json({
             "ratio": v.ratio.value, "err": v.ratio.err,
-            "brackets": [{"source": b.source, "lower": b.lower,
-                          "upper": b.upper, "pass": ok}
+            "brackets": [{"source": b.source, "lower": b.lower, "pass": ok}
                          for b, ok in zip(v.brackets, v.passes)],
         }, args.out)
     else:
@@ -161,7 +160,7 @@ def _cmd_search(args) -> int:
     obj = {
         "n": args.n, "k": args.k,
         "ratio": res.ratio.value, "err": res.ratio.err,
-        "lower": res.bracket.lower, "upper": res.bracket.upper,
+        "lower": res.bracket.lower,
         "within_bracket": res.within_bracket,
         "evals": res.evals, "restarts": res.restarts_used,
         "best": to_payload(res.best),

@@ -33,6 +33,11 @@ _MIN_CELL = 1e-12
 SMALL_SET_CONSTANT = 70.0 * math.e       # bound m{|Q'/Q| <= n*delta} < 70e*delta
 LARGE_SET_CONSTANT = 8.0 * math.sqrt(2)  # bound m{|R'/R| >= alpha} <= 8*sqrt(2)*k/alpha
 
+# uniform sample points of the decay check's interval and of the
+# mean-value window
+_DECAY_SAMPLES = 10_000
+_WINDOW_SAMPLES = 200
+
 
 @dataclass(frozen=True)
 class LevelSetReport:
@@ -137,7 +142,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         else:
             intervals.append([x0, x1])
     measure = CertifiedValue(float(np.sum(cells[1] - cells[0])),
-                             float(np.sum(lb - la)), "critical-points")
+                             float(np.sum(lb - la)))
     return measure, tuple(Interval(x0, x1) for x0, x1 in intervals)
 
 
@@ -179,7 +184,7 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
         raise ValueError("needs a nonzero polynomial")
     k = R.degree
     if k == 0:
-        measure = CertifiedValue(0.0, 0.0, "critical-points")
+        measure = CertifiedValue(0.0, 0.0)
         return LevelSetReport(measure, 0.0, alpha, True, ())
     measure, intervals = _level_set(R, alpha, False, ambient)
     bound = LARGE_SET_CONSTANT * k / alpha
@@ -191,8 +196,7 @@ def _zeros_at(P: Polynomial, point: complex) -> int:
     return sum(1 for z in P.zeros if abs(z - point) <= _GEOM_TOL)
 
 
-def incomplete_decay_check(S: Polynomial, n: int, k: int,
-                           samples: int = 10_000) -> DecayReport:
+def incomplete_decay_check(S: Polynomial, n: int, k: int) -> DecayReport:
     """Check |S(x)| <= x^((n-k)/2) * ||S||_[0,1] on [0, 1 - 10k/(n-k)].
 
     S must factor as x^(n-k) * R with deg R <= k.  The comparison interval
@@ -209,12 +213,12 @@ def incomplete_decay_check(S: Polynomial, n: int, k: int,
     if hi <= 0.0:
         return DecayReport(None, None, True, True, 0)
     norm = sup_norm(S, Interval(0.0, 1.0)).value
-    xs = np.linspace(0.0, hi, samples)
+    xs = np.linspace(0.0, hi, _DECAY_SAMPLES)
     vals = np.abs(evaluate_many(S, xs))
     envelope = xs ** ((n - k) / 2.0) * norm
     viol = float(np.max(vals - envelope))
     return DecayReport(viol, Interval(0.0, hi), False,
-                       viol <= 1e-12 * (1.0 + norm), samples)
+                       viol <= 1e-12 * (1.0 + norm), _DECAY_SAMPLES)
 
 
 def flipped_decay_check(W: Polynomial, n: int, k: int) -> FlippedDecayReport:
@@ -252,8 +256,8 @@ class MeanValueReport:
     satisfied: bool
 
 
-def mean_value_window_check(P: Polynomial, I: Interval = Interval(),
-                            samples: int = 200) -> MeanValueReport:
+def mean_value_window_check(P: Polynomial,
+                            I: Interval = Interval()) -> MeanValueReport:
     """Around a maximizer x0 of |P|, check |P(y)| >= ||P||/2 for
     |y - x0| <= 1/(2M) with M = ||P'||/||P||."""
     (den, _, x0), (num, _, _) = _sup_abs(P, I, (0, 1))
@@ -262,7 +266,7 @@ def mean_value_window_check(P: Polynomial, I: Interval = Interval(),
     M = num / den
     half_width = 0.5 / M if M > 0 else (I.hi - I.lo)
     window = Interval(max(I.lo, x0 - half_width), min(I.hi, x0 + half_width))
-    ys = np.linspace(window.lo, window.hi, samples)
+    ys = np.linspace(window.lo, window.hi, _WINDOW_SAMPLES)
     min_abs = float(np.min(np.abs(evaluate_many(P, ys))))
     ok = min_abs >= 0.5 * den - 1e-9 * (1.0 + den)
     return MeanValueReport(M, window, min_abs, 0.5 * den, ok)

@@ -36,13 +36,14 @@ from .bounds import (
     BoundBracket,
     _quotient,
     bracket_pass,
+    class_brackets,
     lemma34_bracket,
-    thm21_bracket,
     turan_ratio,
 )
 from .classes import (
     ClassSpec,
     IncompleteSpec,
+    _rng,
     _zeros_from_params,
     embed,
     incomplete_member,
@@ -94,11 +95,14 @@ class SearchResult:
     ratio: CertifiedValue
     bracket: BoundBracket
     trace: tuple
-    within_bracket: bool
     evals: int
     restarts_used: int
     params: tuple | None
     warm_best: float | None = None
+
+    @property
+    def within_bracket(self) -> bool:
+        return bracket_pass(self.ratio, self.bracket)
 
 
 def _fast_ratio(zeros: np.ndarray, xs: np.ndarray):
@@ -344,7 +348,7 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
     warm = [w for d in {spec.n, max(spec.n - spec.k, 1)}
             for w in _warm_family(d)]
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+    rng = _rng(cfg.seed)
     starts = _warm_param_starts(spec)[: cfg.restarts]
     nc = spec.n - spec.k
     while len(starts) < cfg.restarts:
@@ -367,10 +371,11 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
     (cert, P, x), evals, trace = _lowest_certified(
         lambda p: _fast_ratio(_zeros_from_params(p, spec), xs),
         spec.n * xs.size, starts, cfg.budget, 1e-10, certify, warm)
-    bracket = thm21_bracket(spec.n, spec.k)
+    # the strongest lower bound that holds for every member of the class
+    bracket = max(class_brackets(spec), key=lambda b: b.lower,
+                  default=BoundBracket(0.0, "none"))
     return SearchResult(
-        best=P, ratio=cert, bracket=bracket, trace=trace,
-        within_bracket=bracket_pass(cert, bracket), evals=evals,
+        best=P, ratio=cert, bracket=bracket, trace=trace, evals=evals,
         restarts_used=cfg.restarts,
         params=None if x is None else tuple(float(v) for v in x),
         warm_best=min(c.value for c, _ in warm))
@@ -424,7 +429,7 @@ def coefficient_search(m: int, k: int, cfg: SearchConfig, estimate, certify):
         cert = certs[Q.zeros]
         return None if cert is None else (cert, Q)
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
+    rng = _rng(cfg.seed)
     starts = [np.eye(k)[0]] + [rng.normal(0.0, 1.0, k)
                                for _ in range(cfg.restarts - 1)]
     return _lowest_certified(objective, basis.size, starts, cfg.budget, 1e-11,
@@ -473,11 +478,10 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
 
     (cert, Q, c), evals, trace = coefficient_search(
         m, k, cfg, lambda ys: parts, certify)
-    bracket = lemma34_bracket(m + k, k)
     return SearchResult(
-        best=Q, ratio=cert, bracket=bracket, trace=trace,
-        within_bracket=bracket_pass(cert, bracket), evals=evals,
-        restarts_used=cfg.restarts, params=tuple(float(v) for v in c),
+        best=Q, ratio=cert, bracket=lemma34_bracket(m + k, k), trace=trace,
+        evals=evals, restarts_used=cfg.restarts,
+        params=tuple(float(v) for v in c),
         warm_best=None)
 
 

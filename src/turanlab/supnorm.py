@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class CertifiedValue:
 
     value: float
     err: float
-    method: str  # always "critical-points"; the CLI prints it
+    method: ClassVar[str] = "critical-points"  # the CLI prints it
 
     def __post_init__(self):
         if self.err < 0:
@@ -58,13 +59,6 @@ def _cheb_grid(lo: float, hi: float, m: int) -> np.ndarray:
     x = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(m + 1) / m))
     x[0], x[-1] = lo, hi
     return x
-
-
-def _sign_roots(f, x: np.ndarray, fx: np.ndarray, xtol: float) -> np.ndarray:
-    """Roots of f in the cells of the ascending grid x where fx changes sign,
-    each narrowed to width <= xtol (_narrow)."""
-    i = np.flatnonzero(np.sign(fx[:-1]) * np.sign(fx[1:]) < 0)
-    return _narrow(f, x[i], x[i + 1], fx[i], fx[i + 1], xtol)
 
 
 def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
@@ -379,7 +373,7 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
 def sup_norm(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """Certified max of |P| over I."""
     v, e, _ = _sup_abs(P, I, (0,))[0]
-    return CertifiedValue(v, e, "critical-points")
+    return CertifiedValue(v, e)
 
 
 def argmax_abs(P: Polynomial, I: Interval = Interval()) -> float:
@@ -390,7 +384,7 @@ def argmax_abs(P: Polynomial, I: Interval = Interval()) -> float:
 def sup_norm_derivative(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """Certified max of |P'| over I, from the zero list of P."""
     v, e, _ = _sup_abs(P, I, (1,))[0]
-    return CertifiedValue(v, e, "critical-points")
+    return CertifiedValue(v, e)
 
 
 def argmax_abs_derivative(P: Polynomial, I: Interval = Interval()) -> float:
@@ -413,7 +407,7 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
         raise ValueError("total_variation requires a real-valued polynomial "
                          "on the interval")
     if P.is_zero or P.degree == 0:
-        return CertifiedValue(0.0, 0.0, "critical-points")
+        return CertifiedValue(0.0, 0.0)
     tol = 1e-12
     hidden = 0.0
 
@@ -431,7 +425,9 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
                         lambda a, b: _settle_cheap_then_full(test, a, b),
                         tol, P.degree)
     dv = derivative_values(P, x).real
-    roots = _sign_roots(lambda xs: derivative_values(P, xs).real, x, dv, tol)
+    i = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)
+    roots = _narrow(lambda xs: derivative_values(P, xs).real,
+                    x[i], x[i + 1], dv[i], dv[i + 1], tol)
     pts = np.unique(np.clip(np.concatenate([x, roots]), I.lo, I.hi))
     vals = evaluate_many(P, pts).real
     tv = float(np.sum(np.abs(np.diff(vals))))
@@ -439,4 +435,4 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     err = 2.0 * len(pts) * (tol * md + 16.0 * _EPS * (1.0 + float(np.max(np.abs(vals)))))
     if la.size:
         hidden += float(np.sum(test(la, lb, False)[1]))
-    return CertifiedValue(tv, err + hidden, "critical-points")
+    return CertifiedValue(tv, err + hidden)

@@ -10,14 +10,17 @@ from turanlab import (
     ClassSpec,
     KOMAROV_A,
     RegimeError,
+    SearchConfig,
     Verdict,
     bracket_pass,
+    class_brackets,
     cor23_lower,
     evaluate_verdict,
     from_zeros,
     komarov_lower,
     lemma34_bracket,
-    thm21_bracket,
+    minimize_ratio,
+    sample,
     thm22_lower,
     turan11_lower,
     turan_ratio,
@@ -104,40 +107,64 @@ def test_cor23_lower():
         cor23_lower(4, 0)
 
 
-def test_thm21_bracket_explicit_constants():
-    b = thm21_bracket(4, 0, c1=0.0279)
-    assert b.lower == pytest.approx(0.0279 * 2.0)
-    assert b.upper is None
-    full = thm21_bracket(8, 1, c1=0.1, c2=3.0)
-    assert full.lower == pytest.approx(0.1 * 2.0)
-    assert full.upper == pytest.approx(3.0 * 2.0)
+def test_class_brackets_sources_and_order():
+    assert class_brackets(ClassSpec(4, 0)) == (
+        BoundBracket(komarov_lower(4), "komarov"),)
+    assert class_brackets(ClassSpec(4, 0, True)) == class_brackets(ClassSpec(4, 0))
+    assert class_brackets(ClassSpec(8, 1, True)) == (BoundBracket(0.5, "cor23"),)
+    # Cor 2.3 needs the pinned zero; Thm 2.2 needs k <= n/163000
+    assert class_brackets(ClassSpec(8, 1)) == ()
+    assert class_brackets(ClassSpec(163000, 1)) == (
+        BoundBracket(THM22_EDGE, "thm22"),)
+    assert [b.source for b in class_brackets(ClassSpec(163000, 1, True))] == [
+        "thm22", "cor23"]
+    assert class_brackets(ClassSpec(0, 0)) == ()
 
 
-def test_thm21_bracket_default_floor():
-    assert thm21_bracket(4, 0).lower == pytest.approx(komarov_lower(4))
-    assert thm21_bracket(9, 2).lower == pytest.approx(cor23_lower(9, 2))
+def test_class_brackets_lower_edges():
+    assert class_brackets(ClassSpec(4, 0))[0].lower == pytest.approx(komarov_lower(4))
+    assert class_brackets(ClassSpec(9, 2, True))[0].lower == pytest.approx(
+        cor23_lower(9, 2))
 
 
 def test_lemma34_bracket():
     assert lemma34_bracket(13, 1).lower == pytest.approx(1.0)
     assert lemma34_bracket(2, 1).lower == pytest.approx(1.0 / 12.0)
-    b = lemma34_bracket(13, 1, c4=5.0)
-    assert b.upper == pytest.approx(5.0 * 13.0)
     with pytest.raises(ValueError):
         lemma34_bracket(5, 5)
 
 
 def test_bound_bracket_invariants():
     with pytest.raises(ValueError):
-        BoundBracket(lower=-0.1, upper=None, source="turan11")
-    with pytest.raises(ValueError):
-        BoundBracket(lower=2.0, upper=1.0, source="thm21")
+        BoundBracket(lower=-0.1, source="turan11")
 
 
 def test_bracket_pass_uses_error_radius():
-    b = BoundBracket(lower=1.0, upper=None, source="turan11")
-    assert bracket_pass(CertifiedValue(0.9999999999, 1e-9, "x"), b)
-    assert not bracket_pass(CertifiedValue(0.99, 1e-9, "x"), b)
+    b = BoundBracket(lower=1.0, source="turan11")
+    assert bracket_pass(CertifiedValue(0.9999999999, 1e-9), b)
+    assert not bracket_pass(CertifiedValue(0.99, 1e-9), b)
+
+
+def test_verdicts_and_searches_share_the_class_bounds():
+    # one policy: a verdict's bounds are Turan's member-specific one (when
+    # every zero is real in [-1, 1]) followed by the class bounds, and a
+    # search reports the strongest class bound
+    cfg = SearchConfig(budget=1, restarts=1, seed=0)
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for pin in (False, True):
+                spec = ClassSpec(n, k, pin)
+                expected = class_brackets(spec)
+                for P in (sample(spec, seed=n), from_zeros(1.0, [1.0] * n)):
+                    real = all(abs(z.imag) <= 1e-9 and abs(z.real) <= 1.0
+                               for z in P.zeros)
+                    turan = ((BoundBracket(turan11_lower(n), "turan11"),)
+                             if real else ())
+                    v = evaluate_verdict(P, spec)
+                    assert v.brackets == turan + expected, (spec, v.brackets)
+                res = minimize_ratio(spec, cfg)
+                assert res.bracket.lower == max(
+                    (b.lower for b in expected), default=0.0), spec
 
 
 def test_verdict_all_real_zero_case():

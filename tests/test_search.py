@@ -10,12 +10,12 @@ from turanlab import (
     SearchConfig,
     SearchFailure,
     bracket_pass,
+    class_brackets,
     frontier_sweep,
     from_zeros,
     is_member,
     minimize_incomplete_ratio,
     minimize_ratio,
-    thm21_bracket,
     thm24_construct,
     turan_ratio,
 )
@@ -78,11 +78,23 @@ def test_search_and_construction_run_above_degree_30():
 
     rep = thm24_construct(40, 2, cfg)
     assert rep.class_check.ok                      # a member of (80, 4)
-    assert bracket_pass(rep.ratio, thm21_bracket(80, 4))
+    assert all(bracket_pass(rep.ratio, b)
+               for b in class_brackets(ClassSpec(80, 4, True)))
     assert rep.ratio.err <= 1e-9 * rep.ratio.value
 
     table = frontier_sweep([40], [2], cfg)
     assert len(table.rows) == 1 and table.rows[0].ok
+
+
+def test_unpinned_search_reports_no_class_bound():
+    # Cor 2.3 needs a zero on [-1, 1]: without the pin no class bound holds
+    # at k >= 1, and (1, 1) has the member x - (3+3i) with ratio 1/5
+    cfg = SearchConfig(budget=300, restarts=3, seed=1)
+    for n, k in ((1, 1), (2, 2), (3, 2)):
+        res = minimize_ratio(ClassSpec(n, k), cfg)
+        assert res.bracket.lower == 0.0
+        assert res.within_bracket
+    assert turan_ratio(from_zeros(1.0, [3 + 3j])).value == pytest.approx(0.2)
 
 
 def test_search_rejects_constants():
