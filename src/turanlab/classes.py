@@ -8,6 +8,7 @@ require a high-order zero at the origin instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,6 @@ def _on_interval(z: complex) -> bool:
 
 def is_member(P: Polynomial, spec: ClassSpec) -> MembershipReport:
     """Check degree, half-disk count, and the optional pinned interval zero."""
-    if P.is_zero:
-        return MembershipReport(False, (), None, "zero polynomial")
     if P.degree > spec.n:
         return MembershipReport(False, (), None,
                                 f"degree {P.degree} exceeds n={spec.n}")
@@ -89,7 +88,13 @@ def is_member(P: Polynomial, spec: ClassSpec) -> MembershipReport:
 
 def _rng(seed) -> np.random.Generator:
     # counter-based generator so parallel sweeps stay reproducible
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) if np.isscalar(seed) else seed))
+    try:
+        ok = 0 <= operator.index(seed) < 2 ** 64
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def sample(spec: ClassSpec, seed: int = 0) -> Polynomial:
@@ -161,10 +166,10 @@ def embed(params, spec: ClassSpec) -> Polynomial:
     return P
 
 
+def _zeros_at(P: Polynomial, point: complex) -> int:
+    """How many zeros of P lie within _GEOM_TOL of point."""
+    return sum(1 for z in P.zeros if abs(z - point) <= _GEOM_TOL)
+
+
 def incomplete_member(P: Polynomial, spec: IncompleteSpec) -> bool:
-    if P.is_zero:
-        return False
-    if P.degree > spec.n + spec.k:
-        return False
-    at_origin = sum(1 for z in P.zeros if abs(z) <= _GEOM_TOL)
-    return at_origin >= spec.n + 1
+    return P.degree <= spec.n + spec.k and _zeros_at(P, 0.0) >= spec.n + 1

@@ -162,7 +162,7 @@ def _cmd_search(args) -> int:
         "ratio": res.ratio.value, "err": res.ratio.err,
         "lower": res.bracket.lower,
         "within_bracket": res.within_bracket,
-        "evals": res.evals, "restarts": res.restarts_used,
+        "evals": res.evals, "restarts": args.restarts,
         "best": to_payload(res.best),
     }
     _emit_report(obj, args)
@@ -193,7 +193,7 @@ def _cmd_sweep(args) -> int:
         rows.append([r.n, r.k, res.ratio.value, res.ratio.err,
                      res.bracket.lower,
                      "" if res.warm_best is None else res.warm_best,
-                     res.within_bracket, res.restarts_used, res.evals])
+                     res.within_bracket, args.restarts, res.evals])
     _emit_csv(["n", "k", "ratio", "err", "lower_bound", "upper_construction",
                "within_bracket", "restarts_used", "evals"], rows, args.out)
     return 0

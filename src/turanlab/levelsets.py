@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import _GEOM_TOL, ClassSpec, is_member
+from .classes import ClassSpec, _zeros_at, is_member
 from .errors import MembershipError
 from .poly import Interval, Polynomial, _values, evaluate_many, from_zeros
 from .supnorm import (
@@ -156,7 +156,7 @@ def small_logderiv_measure(Q: Polynomial, delta: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = Q.degree
-    if Q.is_zero or n == 0:
+    if n == 0:
         raise ValueError("needs a nonconstant polynomial")
     rep = is_member(Q, ClassSpec(n, 0))
     if not rep:
@@ -180,8 +180,6 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if R.is_zero:
-        raise ValueError("needs a nonzero polynomial")
     k = R.degree
     if k == 0:
         measure = CertifiedValue(0.0, 0.0)
@@ -192,10 +190,6 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
     return LevelSetReport(measure, bound, alpha, satisfied, intervals)
 
 
-def _zeros_at(P: Polynomial, point: complex) -> int:
-    return sum(1 for z in P.zeros if abs(z - point) <= _GEOM_TOL)
-
-
 def incomplete_decay_check(S: Polynomial, n: int, k: int) -> DecayReport:
     """Check |S(x)| <= x^((n-k)/2) * ||S||_[0,1] on [0, 1 - 10k/(n-k)].
 
@@ -204,8 +198,6 @@ def incomplete_decay_check(S: Polynomial, n: int, k: int) -> DecayReport:
     """
     if not (1 <= k <= n - 1):
         raise ValueError(f"needs 1 <= k <= n-1, got n={n}, k={k}")
-    if S.is_zero:
-        raise MembershipError("needs a factored nonzero polynomial")
     if S.degree > n or _zeros_at(S, 0.0) < n - k:
         raise MembershipError(
             f"shape mismatch: need degree <= {n} with >= {n - k} zeros at 0")
@@ -230,8 +222,6 @@ def flipped_decay_check(W: Polynomial, n: int, k: int) -> FlippedDecayReport:
     """
     if not (1 <= k and 2 * k <= n):
         raise ValueError(f"needs 1 <= k <= n/2, got n={n}, k={k}")
-    if W.is_zero:
-        raise MembershipError("needs a factored nonzero polynomial")
     if W.degree > n or _zeros_at(W, 1.0) < n - k:
         raise MembershipError(
             f"shape mismatch: need degree <= {n} with >= {n - k} zeros at 1")
@@ -262,7 +252,7 @@ def mean_value_window_check(P: Polynomial,
     |y - x0| <= 1/(2M) with M = ||P'||/||P||."""
     (den, _, x0), (num, _, _) = _sup_abs(P, I, (0, 1))
     if den == 0:
-        raise ValueError("needs a nonzero polynomial")
+        raise ValueError("vanishing sup-norm denominator")
     M = num / den
     half_width = 0.5 / M if M > 0 else (I.hi - I.lo)
     window = Interval(max(I.lo, x0 - half_width), min(I.hi, x0 + half_width))

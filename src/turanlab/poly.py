@@ -45,51 +45,33 @@ class Interval:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial over the complex numbers in factored form."""
+    """leading * prod(x - z_i) over the complex numbers, leading != 0 and
+    every value finite: the ratio, the level sets of P'/P and class
+    membership are defined for nonzero P only."""
 
     leading: complex
     zeros: tuple = ()
-    is_zero: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "leading", complex(self.leading))
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
         if not all(map(cmath.isfinite, (self.leading,) + self.zeros)):
             raise ValueError("leading coefficient and zeros must be finite")
-        if not self.is_zero and self.leading == 0:
-            raise ValueError(
-                "leading coefficient must be nonzero; use Polynomial.zero() "
-                "for the zero polynomial"
-            )
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(leading=0.0, zeros=(), is_zero=True)
+        if self.leading == 0:
+            raise ValueError("leading coefficient must be nonzero")
 
     @property
     def degree(self) -> int:
-        if self.is_zero:
-            return 0
         return len(self.zeros)
-
-    def __call__(self, x):
-        return evaluate(self, x)
 
 
 def from_zeros(leading, zeros) -> Polynomial:
     """Build a polynomial leading * prod(x - z_i) from its zero multiset."""
-    if complex(leading) == 0:
-        raise ValueError(
-            "leading coefficient must be nonzero; request the zero polynomial "
-            "explicitly via Polynomial.zero()"
-        )
-    return Polynomial(leading=complex(leading), zeros=tuple(zeros))
+    return Polynomial(leading, tuple(zeros))
 
 
 def conjugate(P: Polynomial) -> Polynomial:
     """The polynomial whose coefficients are conjugated (zeros conjugate too)."""
-    if P.is_zero:
-        return Polynomial.zero()
     return Polynomial(np.conj(P.leading), tuple(np.conj(z) for z in P.zeros))
 
 
@@ -104,8 +86,6 @@ def _values(P: Polynomial, xs, order: int) -> np.ndarray:
     """
     x = np.asarray(xs, dtype=complex).ravel()
     out = np.zeros((order + 1, x.size), dtype=complex)
-    if P.is_zero:
-        return out
     zs = np.asarray(P.zeros, dtype=complex)
     if zs.size == 0:
         out[0] = P.leading
@@ -161,8 +141,6 @@ def derivative_values(P: Polynomial, xs) -> np.ndarray:
 
 def to_payload(P: Polynomial) -> dict:
     """JSON-ready dict: {"leading": [re, im], "zeros": [[re, im], ...]}."""
-    if P.is_zero:
-        return {"leading": [0.0, 0.0], "zeros": []}
     return {
         "leading": [P.leading.real, P.leading.imag],
         "zeros": [[z.real, z.imag] for z in P.zeros],
@@ -175,6 +153,4 @@ def from_payload(obj: dict) -> Polynomial:
         zeros = tuple(complex(z[0], z[1]) for z in obj["zeros"])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed polynomial payload: {exc}") from exc
-    if lead == 0 and not zeros:
-        return Polynomial.zero()
-    return from_zeros(lead, zeros)
+    return Polynomial(lead, zeros)

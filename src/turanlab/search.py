@@ -96,7 +96,6 @@ class SearchResult:
     bracket: BoundBracket
     trace: tuple
     evals: int
-    restarts_used: int
     params: tuple | None
     warm_best: float | None = None
 
@@ -376,7 +375,6 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
                   default=BoundBracket(0.0, "none"))
     return SearchResult(
         best=P, ratio=cert, bracket=bracket, trace=trace, evals=evals,
-        restarts_used=cfg.restarts,
         params=None if x is None else tuple(float(v) for v in x),
         warm_best=min(c.value for c, _ in warm))
 
@@ -480,9 +478,7 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
         m, k, cfg, lambda ys: parts, certify)
     return SearchResult(
         best=Q, ratio=cert, bracket=lemma34_bracket(m + k, k), trace=trace,
-        evals=evals, restarts_used=cfg.restarts,
-        params=tuple(float(v) for v in c),
-        warm_best=None)
+        evals=evals, params=tuple(float(v) for v in c))
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     up on have no record, and their roots are always narrowed.
     """
     out = {o: (0.0, 0.0, I.lo) for o in orders}
-    orders = [o for o in orders if not P.is_zero and P.degree >= o]
+    orders = [o for o in orders if P.degree >= o]
     if not orders:
         return list(out.values())
     scale = abs(P.leading)      # |F|^2 is formed below: keep it in range
@@ -406,7 +406,7 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     if np.any(np.abs(pv.imag) > 1e-9 * (1.0 + np.abs(pv))):
         raise ValueError("total_variation requires a real-valued polynomial "
                          "on the interval")
-    if P.is_zero or P.degree == 0:
+    if P.degree == 0:
         return CertifiedValue(0.0, 0.0)
     tol = 1e-12
     hidden = 0.0

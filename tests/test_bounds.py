@@ -8,6 +8,7 @@ import pytest
 from turanlab import (
     BoundBracket,
     ClassSpec,
+    Interval,
     KOMAROV_A,
     RegimeError,
     SearchConfig,
@@ -25,7 +26,6 @@ from turanlab import (
     turan11_lower,
     turan_ratio,
 )
-from turanlab.poly import Polynomial
 from turanlab.supnorm import CertifiedValue
 
 from oracles import grid_ratio
@@ -69,8 +69,9 @@ def test_turan_ratio_matches_grid():
 
 
 def test_turan_ratio_rejects_zero():
-    with pytest.raises(ValueError):
-        turan_ratio(Polynomial.zero())
+    # ||P|| = 5e-324 * 0.1 on [0.4, 0.6] underflows to a zero denominator
+    with pytest.raises(ValueError, match="vanishing sup-norm denominator"):
+        turan_ratio(from_zeros(5e-324, [0.5]), Interval(0.4, 0.6))
 
 
 def test_turan_ratio_scale_invariance():

@@ -86,6 +86,17 @@ def test_sample_deterministic():
     assert c.zeros != a.zeros
 
 
+def test_sample_seed_must_be_an_integer_in_uint64_range():
+    spec = ClassSpec(3, 1)
+    for seed in (-1, 2 ** 64, 1.5, "7", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample(spec, seed=seed)
+    # numpy integers pass and key the generator as the same Python int does
+    for seed in (7, 2 ** 64 - 1):
+        assert sample(spec, seed=np.uint64(seed)) == sample(spec, seed=seed)
+    assert sample(spec, seed=np.int32(7)) == sample(spec, seed=7)
+
+
 def test_sample_n0_pin_impossible():
     with pytest.raises(MembershipError):
         sample(ClassSpec(0, 0, pin_interval_zero=True), seed=0)

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
+from turanlab import Interval, from_zeros, to_payload, turan_ratio
 from turanlab.cli import main
 
 
@@ -170,6 +173,101 @@ def test_non_finite_zero_is_one_line_domain_error(capsys, tmp_path, token):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:"), err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "2", "--k", "0"),
+    ("sample", "--n", "2", "--k", "0"),
+    ("construct", "--n", "6", "--k", "2", "--budget", "50", "--restarts", "1"),
+])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_out_of_range_is_one_line_domain_error(capsys, argv, seed):
+    code, out, err = run(capsys, *argv, "--seed", seed)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: seed must be an integer"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ratio",), ("verdict", "--n", "2", "--k", "0"), ("lemma31", "--delta", "0.1"),
+    ("lemma32", "--alpha", "1"), ("decay", "--n", "4", "--k", "1"),
+    ("decay", "--n", "4", "--k", "1", "--mode", "flipped"),
+])
+def test_zero_payload_is_one_line_domain_error(capsys, tmp_path, argv):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"leading": [0.0, 0.0], "zeros": []}))
+    code, out, err = run(capsys, *argv, "--poly", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: leading coefficient must be nonzero\n"
+
+
+def test_ratio_interval_matches_api(capsys, tmp_path):
+    P = from_zeros(1.5 - 0.25j, [0.3 + 0.2j, -0.7, 0.1 + 0.9j, 1.0])
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(to_payload(P)))
+    code, out, _ = run(capsys, "ratio", "--poly", str(path),
+                       "--interval", "0", "0.5")
+    assert code == 0
+    cv = turan_ratio(P, Interval(0.0, 0.5))
+    assert json.loads(out) == {"ratio": cv.value, "err": cv.err,
+                               "method": "critical-points"}
+    assert cv.value != turan_ratio(P).value
+
+
+def test_verdict_json(capsys, linear_poly):
+    code, out, _ = run(capsys, "verdict", "--poly", linear_poly,
+                       "--n", "1", "--k", "1", "--pin", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ratio"] == pytest.approx(0.5, abs=rep["err"] + 1e-15)
+    assert rep["brackets"] == [
+        {"source": "turan11", "lower": 1.0 / 6.0, "pass": True},
+        {"source": "cor23", "lower": 0.5, "pass": True}]
+
+
+def test_sweep_json(capsys):
+    code, out, _ = run(capsys, "sweep", "--n-values", "2,4", "--k-values", "0,1",
+                       "--budget", "200", "--restarts", "2", "--seed", "1",
+                       "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert [(c["n"], c["k"], c["error"]) for c in rep["cells"]] == [
+        (2, 0, None), (2, 1, None), (4, 0, None), (4, 1, None)]
+    assert rep["monotone_in_n"] == {"0": "increasing", "1": "increasing"}
+    assert rep["monotone_in_k"] == {"2": "decreasing", "4": "decreasing"}
+    assert rep["slope"] > 0
+
+
+def test_decay_incomplete(capsys, tmp_path):
+    # S = x^48 R with deg R = 2: compared on [0, 1 - 20/48]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(to_payload(
+        from_zeros(1.0, [0.0] * 48 + [0.4 + 0.1j, 0.9 - 0.2j]))))
+    code, out, _ = run(capsys, "decay", "--poly", str(path),
+                       "--n", "50", "--k", "2", "--mode", "incomplete")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["interval"] == [0.0, 1.0 - 20.0 / 48.0]
+    assert (rep["vacuous"], rep["satisfied"]) == (False, True)
+    assert rep["max_violation"] <= 0.0
+
+
+def test_decay_flipped(capsys, tmp_path):
+    # W = (x - 1)^39 (x - 0.2): sqrt(y) |W(y)| peaks near 0, far below
+    # y0 = 10 * 3 / 40 = 0.75, and decreases on [0.75, 1]
+    zeros = [1.0] * 39 + [0.2]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(to_payload(from_zeros(1.0, zeros))))
+    code, out, _ = run(capsys, "decay", "--poly", str(path),
+                       "--n", "40", "--k", "1", "--mode", "flipped")
+    assert code == 0
+    rep = json.loads(out)
+    ys = np.linspace(0.0, 1.0, 100_001)
+    weighted = np.sqrt(ys) * np.abs(np.prod(ys[None, :] - np.array(zeros)[:, None],
+                                            axis=0))
+    assert rep["full_sup"] == pytest.approx(float(np.max(weighted)), rel=1e-6)
+    assert rep["restricted_sup"] == pytest.approx(
+        math.sqrt(0.75) * 0.25 ** 39 * 0.55, rel=1e-9)
+    assert (rep["degenerate"], rep["satisfied"]) == (False, True)
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -48,9 +48,17 @@ def test_zero_leading_rejected():
 
 
 def test_zero_polynomial_sentinel():
-    Z = Polynomial.zero()
-    assert Z.is_zero
-    assert evaluate(Z, 0.3) == 0.0
+    # there is no zero-polynomial sentinel: each constructor refuses a zero
+    # leading coefficient, with or without zeros
+    msg = "leading coefficient must be nonzero"
+    for zeros in ((1.0,), ()):
+        with pytest.raises(ValueError, match=msg):
+            Polynomial(0.0, zeros)
+        with pytest.raises(ValueError, match=msg):
+            from_zeros(0j, zeros)
+        with pytest.raises(ValueError, match=msg):
+            from_payload({"leading": [0.0, 0.0],
+                          "zeros": [[z, 0.0] for z in zeros]})
 
 
 def test_evaluate_many_matches_pointwise():
@@ -96,8 +104,7 @@ def test_derivative_values_match_expanded_derivative():
         assert np.allclose(got, ref, rtol=1e-9, atol=1e-11)
 
 
-def test_derivative_of_zero_and_constant():
-    assert sup_norm_derivative(Polynomial.zero()).value == 0.0
+def test_derivative_of_constant():
     C = from_zeros(4.0, [])
     assert sup_norm_derivative(C).value == 0.0
 
