@@ -86,14 +86,19 @@ def is_member(P: Polynomial, spec: ClassSpec) -> MembershipReport:
     return MembershipReport(True, constrained, pinned, "ok")
 
 
-def _rng(seed) -> np.random.Generator:
-    # counter-based generator so parallel sweeps stay reproducible
+def _check_seed(seed) -> None:
+    """The one check of every seed the package takes."""
     try:
         ok = 0 <= operator.index(seed) < 2 ** 64
     except TypeError:
         ok = False
     if not ok:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _rng(seed) -> np.random.Generator:
+    # counter-based generator so parallel sweeps stay reproducible
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

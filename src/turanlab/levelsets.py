@@ -3,9 +3,12 @@
 The level sets {|Q'/Q| <= c} and {|R'/R| >= c} are measured from the zero
 list: s = Q'/Q = sum 1/(x - z_i) is evaluated at cell midpoints, and a local
 Lipschitz bound of s on each cell (from the distances of the zeros to it)
-decides whether the whole cell is inside, outside, or has to be split.
-Poles of s at real zeros are cell ends, so they need no special casing.
-The measure is the total length of the inside cells.
+decides whether the whole cell is inside or outside.  Where it cannot, a
+bound on the derivative of |s|^2 may show |s| monotone on the cell; then
+the cell's two ends classify it, or Newton steps locate the one boundary
+point in it to within _MIN_CELL.  Any other cell is split.  Poles of s at
+real zeros are cell ends, so they need no special casing.  The measure is
+the total length of the inside cells.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .supnorm import (
     sup_norm,
 )
 
-# level-set cells narrower than this are classified by their midpoint
+# level-set cells narrower than this are classified by their midpoint, and
+# a located boundary point is certified to within this width
 _MIN_CELL = 1e-12
 
 SMALL_SET_CONSTANT = 70.0 * math.e       # bound m{|Q'/Q| <= n*delta} < 70e*delta
@@ -97,43 +101,137 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     inside ambient, s = P'/P = sum 1/(x - z_i).
 
     Cells start as the grid of the sup engine with the real parts of the
-    zeros inserted as ends.  On a cell [m - r, m + r],
-    |s(x) - s(m)| <= r * sum_i 1/dist(z_i, cell)^2, which classifies the cell
-    as inside, outside or to be split.  A cell narrower than _MIN_CELL is
-    classified by its midpoint and its width goes into the radius, as does
-    the width left unresolved when the live cells would exceed the cap.
+    zeros inserted as ends.  On a cell [m - r, m + r], with dist_i the
+    distance of z_i to it, D2 = sum 1/dist_i^2 and D3 = sum 1/dist_i^3,
+
+        1/(x-z) - 1/(m-z) = (m-x) / ((x-z)(m-z)),
+        1/(x-z)^2 - 1/(m-z)^2 = (m-x)(m+x-2z) / ((x-z)^2 (m-z)^2)
+
+    give |s(x) - s_m| <= e1 = r D2 + rnd_s and, for s' = -sum 1/(x-z_i)^2,
+    |s'(x) - s'_m| <= e2 = 2 r D3 + rnd_s', where s_m, s'_m are the values
+    computed at m and rnd_s = 4(d+1) eps sum |1/(m-z_i)|,
+    rnd_s' = 8(d+1) eps D2 bound their rounding.  e1 settles a cell as
+    inside or outside.  Where it cannot, s = s_m + u, s' = s'_m + v gives
+
+        |Re(conj(s) s') - Re(conj(s_m) s'_m)| <= (|s_m| + e1) e2 + e1 |s'_m|,
+
+    so if the computed |Re(conj(s_m) s'_m)| exceeds this bound, enlarged by
+    the factor 1 + 8(d+2) eps for its rounding and by 4 eps |s_m| |s'_m| for
+    that of the product, (|s|^2)' = 2 Re(conj(s) s') keeps its sign and
+    |s|^2 is strictly monotone on the cell.  That needs e1 < |s_m|, so only
+    those cells pay for s'_m and D3.  Point tests (r = 0) at the ends of a
+    monotone cell then settle it when they agree.  When they disagree, the
+    cell holds one crossing of the level: Newton steps on |s|^2 - level^2,
+    kept in a bisected bracket, locate it at x*, and point tests at the ends
+    of the _MIN_CELL-wide piece around x* certify it when they match the
+    cell ends they face.  The rest of the cell is then settled, each half
+    of the piece takes the class of the cell end on its side (the crossing
+    is in the piece, so no split of it errs by more than its width), and
+    the width goes into the radius.  Any other cell, as at a tangency of |s|
+    with the level, is split.  A cell narrower than _MIN_CELL, or live when
+    the cells would exceed the cap, is given up on: it is classified by its
+    midpoint and its width goes into the radius.
     """
     lo, hi = ambient.lo, ambient.hi
-    zs = np.asarray(P.zeros, dtype=complex)
+    zs = np.asarray(P.zeros, dtype=complex)[:, None]
     d = zs.size
     inner = zs.real[(zs.real > lo) & (zs.real < hi)]
     grid = np.unique(np.concatenate([_engine_grid(P, ambient), inner]))
-    zr, zi2 = zs.real[:, None], (zs.imag ** 2)[:, None]
-    cells = [np.zeros((2, 0))]
+    zr, zi2 = zs.real, zs.imag ** 2
+    rnd = 4.0 * (d + 1) * _EPS
+    cells, crossings = [np.zeros((2, 0))], [np.zeros((2, 0))]
 
-    def in_set(a, b):
-        """(certainly in, certainly out, in by the midpoint) per cell."""
-        m, r = 0.5 * (a + b), 0.5 * (b - a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / (m[None, :] - zs[:, None])
-            s = np.abs(np.sum(inv, axis=0))
-            s[~np.isfinite(s)] = np.inf
-            gap = np.maximum(np.maximum(a[None, :] - zr, zr - b[None, :]), 0.0)
-            slack = (r * np.sum(1.0 / (gap ** 2 + zi2), axis=0)
-                     + 4.0 * (d + 1) * _EPS * np.sum(np.abs(inv), axis=0))
+    def classify(s, slack):
+        """(certainly in, certainly out, in by the value) from the computed
+        s and a bound on the error of |s|."""
+        s = np.abs(s)
+        s[~np.isfinite(s)] = np.inf
         if small:
             return s + slack <= level, s - slack > level, s <= level
         return s - slack >= level, s + slack < level, s >= level
 
-    def settle(a, b):
-        inside, outside, _ = in_set(a, b)
-        cells.append(np.stack([a[inside], b[inside]]))
-        return inside | outside
+    def point(x):
+        """(certainly in, certainly out, in by the value) at the points x."""
+        inv = 1.0 / (x - zs)
+        return classify(inv.sum(0), rnd * np.abs(inv).sum(0))
 
-    _, la, lb = _refine(grid, settle, _MIN_CELL, d)
-    take = in_set(la, lb)[2]
-    cells.append(np.stack([la[take], lb[take]]))
+    def settle(a, b):
+        m = 0.5 * (a + b)
+        r = np.maximum(b - m, m - a)
+        inv = 1.0 / (m - zs)
+        gap = np.maximum(np.maximum(a - zr, zr - b), 0.0)
+        w = 1.0 / (gap ** 2 + zi2)
+        d2 = w.sum(0)
+        s = inv.sum(0)
+        e1 = r * d2 + rnd * np.abs(inv).sum(0)
+        inside, outside, _ = classify(s, e1)
+        cells.append(np.array([a[inside], b[inside]]))
+        done = inside | outside
+        # |Re(conj(s) s')| <= |s| |s'| can only exceed the bound if e1 < |s|
+        k = np.flatnonzero(~done & (e1 < np.abs(s)))
+        if not k.size:
+            return done
+        inv, w, s, e1 = inv[:, k], w[:, k], s[k], e1[k]
+        sp = -(inv * inv).sum(0)
+        # rnd_s' = 8 (d + 1) eps sum |1/(m - z_i)|^2 <= 8 (d + 1) eps D2
+        e2 = 2.0 * r[k] * (w * np.sqrt(w)).sum(0) + 2.0 * rnd * d2[k]
+        dot = s.real * sp.real + s.imag * sp.imag
+        abs_s, abs_sp = np.abs(s), np.abs(sp)
+        bound = ((1.0 + 8.0 * (d + 2) * _EPS) * ((abs_s + e1) * e2 + e1 * abs_sp)
+                 + 4.0 * _EPS * abs_s * abs_sp)
+        mono = np.abs(dot) > bound
+        k, s, sp = k[mono], s[mono], sp[mono]
+        if not k.size:
+            return done
+        ka, kb = a[k], b[k]
+        ins, outs, _ = point(np.concatenate([ka, kb]))
+        ia, ib, oa, ob = ins[:k.size], ins[k.size:], outs[:k.size], outs[k.size:]
+        whole = ia & ib
+        done[k] = whole | (oa & ob)
+        cells.append(np.array([ka[whole], kb[whole]]))
+        cross = (ia & ob) | (oa & ib)
+        if cross.any():
+            done[k[cross]] = crossing(ka[cross], kb[cross], ia[cross],
+                                      s[cross], sp[cross])
+        return done
+
+    def crossing(a, b, ina, s, sp):
+        """Locate and certify the one crossing of the level in each cell
+        [a, b], given s and s' at the midpoints; True where it is certified
+        and the pieces are recorded."""
+        below_left = ina == small   # |s|^2 - level^2 < 0 at a
+        x, xl, xr = 0.5 * (a + b), a, b
+        for _ in range(64):   # bisection alone takes width 2 below _MIN_CELL/4 in 43
+            g = s.real ** 2 + s.imag ** 2 - level ** 2
+            left = (g < 0) == below_left
+            xl, xr = np.where(left, x, xl), np.where(left, xr, x)
+            step = x - g / (2.0 * (s.real * sp.real + s.imag * sp.imag))
+            step = np.where((step >= xl) & (step <= xr), step, 0.5 * (xl + xr))
+            moved = np.abs(step - x) > 0.25 * _MIN_CELL
+            x = step
+            if not moved.any():
+                break
+            inv = 1.0 / (x - zs)
+            s, sp = inv.sum(0), -(inv * inv).sum(0)
+        pl = np.maximum(a, x - 0.5 * _MIN_CELL)
+        pr = np.minimum(b, pl + _MIN_CELL)
+        # no wider than _MIN_CELL after the rounding of pl + _MIN_CELL
+        pr = np.where(pr - pl > _MIN_CELL, np.nextafter(pr, -np.inf), pr)
+        ins, outs, _ = point(np.concatenate([pl, pr]))
+        n = a.size
+        ok = np.where(ina, ins[:n] & outs[n:], outs[:n] & ins[n:])
+        a, b, x, ina = a[ok], b[ok], x[ok], ina[ok]
+        cells.append(np.array([np.where(ina, a, x), np.where(ina, x, b)]))
+        crossings.append(np.array([pl[ok], pr[ok]]))
+        return ok
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, la, lb = _refine(grid, settle, _MIN_CELL, d)
+        take = point(0.5 * (la + lb))[2]
+    cells.append(np.array([la[take], lb[take]]))
+    la, lb = np.concatenate([np.concatenate(crossings, axis=1), [la, lb]], axis=1)
     cells = np.concatenate(cells, axis=1)
+    cells = cells[:, cells[1] > cells[0]]
     cells = cells[:, np.argsort(cells[0], kind="stable")]
     intervals = []
     for x0, x1 in cells.T:
@@ -153,8 +251,8 @@ def small_logderiv_measure(Q: Polynomial, delta: float,
     Q must have all its zeros in the closed upper half-disk; the reported
     bound is 70e * delta and satisfaction is strict.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     n = Q.degree
     if n == 0:
         raise ValueError("needs a nonconstant polynomial")
@@ -178,8 +276,8 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
     handles automatically.  A constant R has measure zero.  Bound: 8*sqrt(2)*k/alpha
     with k = deg R, non-strict.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     k = R.degree
     if k == 0:
         measure = CertifiedValue(0.0, 0.0)

@@ -43,6 +43,7 @@ from .bounds import (
 from .classes import (
     ClassSpec,
     IncompleteSpec,
+    _check_seed,
     _rng,
     _zeros_from_params,
     embed,
@@ -87,6 +88,7 @@ class SearchConfig:
             ok = False
         if not ok:
             raise ValueError("budget and restarts must be integers >= 1")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -179,12 +179,25 @@ def test_non_finite_zero_is_one_line_domain_error(capsys, tmp_path, token):
     ("search", "--n", "2", "--k", "0"),
     ("sample", "--n", "2", "--k", "0"),
     ("construct", "--n", "6", "--k", "2", "--budget", "50", "--restarts", "1"),
+    ("sweep", "--n-values", "2", "--k-values", "0", "--budget", "50",
+     "--restarts", "1"),
 ])
-@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), str(2 ** 70)])
 def test_seed_out_of_range_is_one_line_domain_error(capsys, argv, seed):
     code, out, err = run(capsys, *argv, "--seed", seed)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: seed must be an integer"), err
+
+
+@pytest.mark.parametrize("command, name", [("lemma31", "delta"), ("lemma32", "alpha")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_level_parameter_is_one_line_domain_error(capsys, tmp_path,
+                                                             command, name, value):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"leading": [1.0, 0.0], "zeros": [[0.0, 1.0]]}))
+    code, out, err = run(capsys, command, f"--{name}={value}", "--poly", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {name} must be positive and finite\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,9 @@ from turanlab import (
     small_logderiv_measure,
     sample,
     ClassSpec,
+    levelsets,
 )
+from turanlab.levelsets import _MIN_CELL
 
 from oracles import (
     grid_measure_large_logderiv,
@@ -63,8 +65,65 @@ def test_small_measure_requires_confined_zeros():
 
 
 def test_small_measure_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        small_logderiv_measure(from_zeros(1.0, [0.5]), 0.0)
+    for delta in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            small_logderiv_measure(from_zeros(1.0, [0.5]), delta)
+
+
+def test_large_measure_rejects_bad_alpha():
+    for alpha in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            large_logderiv_measure(from_zeros(1.0, [0.5]), alpha)
+
+
+def _refine_give_ups(monkeypatch):
+    """Record the cells that _refine gives up on, per level-set call."""
+    refine, log = levelsets._refine, []
+
+    def spy(*args):
+        out = refine(*args)
+        log.append(np.stack(out[1:]))
+        return out
+
+    monkeypatch.setattr(levelsets, "_refine", spy)
+    return log
+
+
+@pytest.mark.parametrize("b, delta", [(0.5, 1.0), (0.25, 1.2), (0.9, 0.8), (1.0, 0.75)])
+def test_small_measure_closed_form_crossings(monkeypatch, b, delta):
+    # |1/(x - ib)| <= delta  <=>  |x| >= sqrt(1/delta^2 - b^2): the two
+    # boundary points are located by the crossing path, each within _MIN_CELL
+    give_ups = _refine_give_ups(monkeypatch)
+    rep = small_logderiv_measure(from_zeros(1.0, [1j * b]), delta)
+    exact = 2.0 * (1.0 - math.sqrt(1.0 / delta ** 2 - b ** 2))
+    assert abs(rep.measure.value - exact) <= rep.measure.err <= 2 * _MIN_CELL
+    assert give_ups[0].size == 0
+    assert len(rep.intervals) == 2
+
+
+@pytest.mark.parametrize("b, alpha", [(0.5, 1.0), (-0.3, 2.5)])
+def test_large_measure_closed_form_crossings(monkeypatch, b, alpha):
+    # |1/(x - ib)| >= alpha  <=>  |x| <= sqrt(1/alpha^2 - b^2)
+    give_ups = _refine_give_ups(monkeypatch)
+    rep = large_logderiv_measure(from_zeros(1.0, [1j * b]), alpha)
+    exact = 2.0 * math.sqrt(1.0 / alpha ** 2 - b ** 2)
+    assert abs(rep.measure.value - exact) <= rep.measure.err <= 2 * _MIN_CELL
+    assert give_ups[0].size == 0
+    assert len(rep.intervals) == 1
+
+
+def test_small_measure_tangency_falls_back_to_bisection(monkeypatch):
+    # |1/(x - i)| = 1/sqrt(1 + x^2) touches the level 1 at its maximum x = 0,
+    # where |s|^2 is not monotone, and stays within rounding of the level for
+    # |x| up to about 1e-7: the cells there are bisected down to _MIN_CELL
+    # and given up on, and the measure still encloses 2
+    give_ups = _refine_give_ups(monkeypatch)
+    rep = small_logderiv_measure(from_zeros(1.0, [1j]), 1.0)
+    assert abs(rep.measure.value - 2.0) <= rep.measure.err < 1e-6
+    (lo, hi), = give_ups
+    assert lo.size and np.all(hi - lo < _MIN_CELL)
+    assert np.all(np.abs(lo) < 1e-6) and np.any(lo == 0.0)
+    assert rep.measure.err == pytest.approx(np.sum(hi - lo), rel=1e-9)
 
 
 def test_small_measure_grid_agreement():

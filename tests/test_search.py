@@ -162,6 +162,16 @@ def test_search_config_rejects_non_integer_or_small_counts(budget, restarts):
         SearchConfig(budget=budget, restarts=restarts, seed=1)
 
 
+def test_search_config_seed_range():
+    # the check of classes.sample, so frontier_sweep, which derives its
+    # cells' seeds before any generator sees one, refuses the same seeds
+    for seed in (-1, 2 ** 64, 2 ** 70, 1.5, "7", None):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            SearchConfig(budget=50, restarts=1, seed=seed)
+    for seed in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+        assert SearchConfig(budget=50, restarts=1, seed=seed).seed == seed
+
+
 def test_search_config_accepts_integer_types():
     cfg = SearchConfig(np.int64(300), np.int32(2), 1)
     assert (cfg.budget, cfg.restarts) == (300, 2)
