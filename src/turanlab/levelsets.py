@@ -20,7 +20,7 @@ import numpy as np
 
 from .classes import ClassSpec, _zeros_at, is_member
 from .errors import MembershipError
-from .poly import Interval, Polynomial, _values, evaluate_many, from_zeros
+from .poly import Interval, Polynomial, _blockwise, _values, evaluate_many, from_zeros
 from .supnorm import (
     _EPS,
     CertifiedValue,
@@ -140,6 +140,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     zr, zi2 = zs.real, zs.imag ** 2
     rnd = 4.0 * (d + 1) * _EPS
     cells, crossings = [np.zeros((2, 0))], [np.zeros((2, 0))]
+    pending = []    # (a, b, in at a, s, s') of the cells to locate a crossing in
 
     def classify(s, slack):
         """(certainly in, certainly out, in by the value) from the computed
@@ -150,12 +151,33 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
             return s + slack <= level, s - slack > level, s <= level
         return s - slack >= level, s + slack < level, s >= level
 
+    def values(x):
+        """s and sum |1/(x - z_i)| at the points x."""
+        inv = 1.0 / (x - zs)
+        return inv.sum(0), np.abs(inv).sum(0)
+
+    def slopes(x):
+        """s and s' at the points x."""
+        inv = 1.0 / (x - zs)
+        return inv.sum(0), -(inv * inv).sum(0)
+
     def point(x):
         """(certainly in, certainly out, in by the value) at the points x."""
-        inv = 1.0 / (x - zs)
-        return classify(inv.sum(0), rnd * np.abs(inv).sum(0))
+        s, size = _blockwise(values, d, x)
+        return classify(s, rnd * size)
 
+    # every (zeros x cells) array is built on blocks of cells; the crossings
+    # of all blocks are located together, as the Newton steps run in lockstep
     def settle(a, b):
+        done, cross = _blockwise(settle_block, d, a, b)
+        if pending:
+            found = pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending))
+            done[cross] = crossing(*found)
+            pending.clear()
+        return done
+
+    def settle_block(a, b):
+        """(settled, holds one crossing to locate) per cell [a, b]."""
         m = 0.5 * (a + b)
         r = np.maximum(b - m, m - a)
         inv = 1.0 / (m - zs)
@@ -167,10 +189,11 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         inside, outside, _ = classify(s, e1)
         cells.append(np.array([a[inside], b[inside]]))
         done = inside | outside
+        cross = np.zeros(done.size, dtype=bool)
         # |Re(conj(s) s')| <= |s| |s'| can only exceed the bound if e1 < |s|
         k = np.flatnonzero(~done & (e1 < np.abs(s)))
         if not k.size:
-            return done
+            return done, cross
         inv, w, s, e1 = inv[:, k], w[:, k], s[k], e1[k]
         sp = -(inv * inv).sum(0)
         # rnd_s' = 8 (d + 1) eps sum |1/(m - z_i)|^2 <= 8 (d + 1) eps D2
@@ -182,18 +205,18 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         mono = np.abs(dot) > bound
         k, s, sp = k[mono], s[mono], sp[mono]
         if not k.size:
-            return done
+            return done, cross
         ka, kb = a[k], b[k]
         ins, outs, _ = point(np.concatenate([ka, kb]))
         ia, ib, oa, ob = ins[:k.size], ins[k.size:], outs[:k.size], outs[k.size:]
         whole = ia & ib
         done[k] = whole | (oa & ob)
         cells.append(np.array([ka[whole], kb[whole]]))
-        cross = (ia & ob) | (oa & ib)
-        if cross.any():
-            done[k[cross]] = crossing(ka[cross], kb[cross], ia[cross],
-                                      s[cross], sp[cross])
-        return done
+        one = (ia & ob) | (oa & ib)
+        if one.any():
+            cross[k[one]] = True
+            pending.append((ka[one], kb[one], ia[one], s[one], sp[one]))
+        return done, cross
 
     def crossing(a, b, ina, s, sp):
         """Locate and certify the one crossing of the level in each cell
@@ -211,8 +234,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
             x = step
             if not moved.any():
                 break
-            inv = 1.0 / (x - zs)
-            s, sp = inv.sum(0), -(inv * inv).sum(0)
+            s, sp = _blockwise(slopes, d, x)
         pl = np.maximum(a, x - 0.5 * _MIN_CELL)
         pr = np.minimum(b, pl + _MIN_CELL)
         # no wider than _MIN_CELL after the rounding of pl + _MIN_CELL

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Factored evaluation builds the (zeros x points) broadcast matrix in chunks
-# of at most this many entries.
-_BROADCAST_LIMIT = 2_000_000
+# The (zeros x points) arrays of factored evaluation, and every other array
+# that pairs each zero with a batch of points or cells, are built a block of
+# points at a time, each of about this many entries (1 MiB when complex), so
+# memory grows linearly with the degree; see _blocks.
+_BLOCK_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,30 @@ def conjugate(P: Polynomial) -> Polynomial:
     return Polynomial(np.conj(P.leading), tuple(np.conj(z) for z in P.zeros))
 
 
-def _values(P: Polynomial, xs, order: int) -> np.ndarray:
+def _blocks(n: int, width: int) -> list:
+    """Slices that split n points into blocks of _BLOCK_LIMIT // width
+    points, width the entries each point adds to an array, and at least 2:
+    numpy sums a lone column over the zeros in another order than the
+    columns of a batch, so a lone last point joins the block before it, and
+    each point gets the bits it gets in a batch of any size but one."""
+    step = max(2, _BLOCK_LIMIT // max(width, 1))
+    if n - 1 <= step:
+        return [slice(None)]
+    starts = list(range(0, n - 1, step))
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _blockwise(fn, width: int, *cols) -> tuple:
+    """The per-point arrays fn(*cols) returns, computed on the _blocks of
+    the points (the entries of cols) and joined along the last axis."""
+    blocks = _blocks(cols[0].size, width)
+    if len(blocks) == 1:
+        return fn(*cols)
+    parts = [fn(*(c[sl] for c in cols)) for sl in blocks]
+    return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+
+
+def _values(P: Polynomial, xs, order: int, w: float | None = None):
     """Rows P, P', ..., P^(order) (order <= 2) at the points xs (1-D), from
     the zero list.
 
@@ -83,22 +108,31 @@ def _values(P: Polynomial, xs, order: int) -> np.ndarray:
     P''/P = s^2 - t.  At a point x0 where mu zeros coincide, P = (x - x0)^mu R
     and P^(j)(x0) = j!/(j - mu)! * R^(j - mu)(x0), with R and its derivatives
     taken from the same sums over the remaining zeros: O(d) per point.
+
+    Given a widening w, it returns (rows, M, p1) instead, with
+    M = |c| prod(|x - z_i| + w) and p1 = sum 1/(|x - z_i| + w) from the same
+    differences: supnorm._majorants on the cells [x - w, x + w], p1 before
+    its rounding pad.
     """
     x = np.asarray(xs, dtype=complex).ravel()
     out = np.zeros((order + 1, x.size), dtype=complex)
+    maj = np.zeros((2, x.size))
     zs = np.asarray(P.zeros, dtype=complex)
     if zs.size == 0:
-        out[0] = P.leading
-        return out
-    step = max(1, _BROADCAST_LIMIT // zs.size)
-    for lo in range(0, x.size, step):
-        sl = slice(lo, lo + step)
+        out[0], maj[0] = P.leading, abs(P.leading)
+        return out if w is None else (out, *maj)
+    for sl in _blocks(x.size, zs.size):
         xc = x[sl]
         n = xc.size
         # numpy reduces a lone column over the zeros in another order than
         # the columns of a batch: a point evaluated as a pair gets the bits
         # it gets in any batch
         diffs = (np.repeat(xc, 2) if n == 1 else xc)[None, :] - zs[:, None]
+        if w is not None:
+            dist = np.abs(diffs)
+            dist += w
+            maj[0, sl] = (abs(P.leading) * np.prod(dist, axis=0))[:n]
+            maj[1, sl] = np.sum(np.divide(1.0, dist, out=dist), axis=0)[:n]
         if order == 0:
             out[0, sl] = (P.leading * np.prod(diffs, axis=0))[:n]
             continue
@@ -122,7 +156,7 @@ def _values(P: Polynomial, xs, order: int) -> np.ndarray:
                 for m in range(1, j + 1):
                     val = np.where(mu == m, math.perm(j, m) * jets[j - m], val)
             out[j, sl] = val[:n]
-    return out
+    return out if w is None else (out, *maj)
 
 
 def evaluate_many(P: Polynomial, xs) -> np.ndarray:

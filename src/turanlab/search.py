@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import poly
 from .bounds import (
     BoundBracket,
     _quotient,
@@ -66,12 +67,6 @@ _FATOL = 1e-10
 # same bits as 3 * xbar - 2 * worst, 1.5 * xbar - 0.5 * worst and
 # 0.5 * xbar + 0.5 * worst, since x - y is x + (-y) in floating point
 _MOVES = {"expand": (3.0, -2.0), "outside": (1.5, -0.5), "inside": (0.5, 0.5)}
-# A stack of points is evaluated in row blocks of at most this many
-# (rows x zeros x grid) entries, 1 MiB per complex temporary.  With blocks
-# of poly._BROADCAST_LIMIT entries, minimize_ratio at n = 40 with 32
-# restarts of 300 peaked at 101 MB of RSS against 45 MB with these, and ran
-# no faster.
-_BLOCK_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -287,9 +282,11 @@ def _nelder_mead(objective, sim, budget: int, xatol: float):
 
 def _in_blocks(objective, width: int):
     """``objective`` applied to a stack in equal row blocks, each of at most
-    _BLOCK_LIMIT entries (rows x width) or of one row."""
+    poly._BLOCK_LIMIT entries (rows x width) or of one row.  With blocks of
+    2,000,000 entries, minimize_ratio at n = 40 with 32 restarts of 300
+    peaked at 101 MB of RSS against 45 MB with these, and ran no faster."""
     def blocked(rows):
-        blocks = min(len(rows), -(-len(rows) * width // _BLOCK_LIMIT))
+        blocks = min(len(rows), -(-len(rows) * width // poly._BLOCK_LIMIT))
         if blocks == 1:
             return objective(rows)
         return np.concatenate([objective(b) for b in np.array_split(rows, blocks)])
@@ -306,7 +303,7 @@ def _lowest_certified(objective, width: int, starts, budget: int,
     end points in restart order, each a (CertifiedValue, item) pair or None
     to skip it.  ``objective`` maps a stack of points to their values and
     builds about ``width`` broadcast entries per point; it is called on row
-    blocks that keep a block within _BLOCK_LIMIT entries.  The lowest
+    blocks that keep a block within poly._BLOCK_LIMIT entries.  The lowest
     (certified value, |x|) wins, a warm item counting as |x| = inf; on a
     tie the earlier candidate stays.  Returns ((cert, item, x), evaluations,
     trace), x being None for a warm winner and the trace holding

@@ -18,6 +18,14 @@ is 64(d+1) eps times the value, plus the rounding bound of the values
 (P' = P sum 1/(x - z_i) can cancel) and whatever a flat maximum or a cell
 given up on could still hide.  Total variation uses the same cell test on
 the roots of P'.
+
+Memory grows linearly with the degree: every array that pairs the zeros
+with points or cells is built a block at a time.  The value kernel takes
+about 2^16 / d points a block (poly._blocks), the cell series about
+2^18 / d cells, but at least 1024, as _series loops over the zeros once a
+block.  The cell test of a block keeps only per-cell results, and any
+decision that compares cells with each other waits until every block is
+in, so the blocks never change a bit of the result.
 """
 
 from __future__ import annotations
@@ -30,15 +38,21 @@ import numpy as np
 
 from .errors import OverflowEvaluationError
 from .poly import (
-    _BROADCAST_LIMIT,
     Interval,
     Polynomial,
+    _blockwise,
     _values,
     derivative_values,
     evaluate_many,
 )
 
 _EPS = float(np.finfo(float).eps)
+
+# _refine gives up on every live cell once the live cells times the degree
+# would pass this many (it keeps at least 16(d+1) cells): a bound on the work
+# of one round, whose arrays are built in blocks.  Level-set refinement, which
+# can keep many cells live, is tuned to this value.
+_BROADCAST_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -194,6 +208,14 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
     return out
 
 
+def _in_cell_blocks(test, a: np.ndarray, b: np.ndarray, degree: int) -> tuple:
+    """The per-cell arrays test(a, b) returns, computed on blocks of the
+    cells [a, b] and joined: 2^18 / d cells a block bound the (zeros x
+    cells) arrays of _series, and blocks of at least 1024 cells keep its
+    loop over the zeros from costing more than it saves."""
+    return _blockwise(test, min(64, degree // 4), a, b)
+
+
 def _square(c: np.ndarray, conj: bool = True) -> np.ndarray:
     """Row-wise coefficients of |sum c_j tau^j|^2 for real tau (or of the
     square when conj is False, as for a majorant)."""
@@ -239,8 +261,8 @@ def _refine(x: np.ndarray, settle, min_width: float, degree: int):
 
     Returns the ends of the final cells and the cells given up on (as two
     arrays of left and right ends): those narrower than min_width, and every
-    live cell once a (zeros x live cells) matrix would outgrow the kernel's
-    broadcast limit (at least 16(d+1) cells are kept).
+    live cell once the live cells times the degree would pass
+    _BROADCAST_LIMIT (at least 16(d+1) cells are kept).
     """
     cap = max(16 * (degree + 1), _BROADCAST_LIMIT // max(degree, 1))
     a, b = x[:-1], x[1:]
@@ -306,22 +328,29 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     # (left ends, top per order) of the cells test accepts
     cells = [(np.zeros(0), np.zeros((len(orders), 0)))]
 
-    def test(a, b, full):
-        ok, tops = np.ones(a.size, dtype=bool), []
+    def block(a, b, full):
+        """(top, at most one root) per order and cell of one block."""
+        tops, simple = [], []
         for i, (f, err, tail) in enumerate(_series(P, a, b, orders, full)):
             best[i] = max(best[i], float(np.max(np.abs(f[:, 0]) - err[:, 0], initial=0.0)))
             q, qerr, qtail = _modulus_square(f, err, tail)
-            top = np.sqrt(q[:, 0] + np.sum(np.abs(q[:, 1:]), axis=1)
-                          + np.sum(qerr, axis=1) + qtail[0])
-            flat = top <= best[i] * (1.0 + rho[i])
-            ceiling[i] = max(ceiling[i], float(np.max(top[flat], initial=0.0)))
-            ok &= (_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2)
-                   | flat)
-            tops.append(top)
+            tops.append(np.sqrt(q[:, 0] + np.sum(np.abs(q[:, 1:]), axis=1)
+                                + np.sum(qerr, axis=1) + qtail[0]))
+            simple.append(_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2))
+        return np.array(tops), np.array(simple)
+
+    def test(a, b, full):
+        tops, simple = _in_cell_blocks(lambda a, b: block(a, b, full), a, b, P.degree)
+        # the flat test waits for best to take every block: a running
+        # maximum would let the blocks decide which cells count as flat
+        flat = tops <= np.array(best)[:, None] * (1.0 + np.array(rho)[:, None])
+        for i, (top, f) in enumerate(zip(tops, flat)):
+            ceiling[i] = max(ceiling[i], float(np.max(top[f], initial=0.0)))
+        ok = np.all(simple | flat, axis=0)
         # a zero-width cell (a midpoint rounded onto an end) would share its
         # left end with the next cell
         keep = ok & (b > a)
-        cells.append((a[keep], np.array(tops)[:, keep]))
+        cells.append((a[keep], tops[:, keep]))
         return ok, tops
 
     x, la, lb = _refine(_engine_grid(P, I),
@@ -342,7 +371,9 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
         hv = 2.0 * (np.conj(v[:-1]) * v[1:]).real
         return hv[-1] if o is None else hv[o, np.arange(xs.size)]
 
-    v = _values(P, x, orders[-1] + 1)
+    # the final points' majorants (|P^(o)| <= M E_o on [x - xtol, x + xtol])
+    # come from the differences of the value pass
+    v, M, p1 = _values(P, x, orders[-1] + 1, xtol)
     hx = 2.0 * (np.conj(v[:-1]) * v[1:]).real
     sx = np.sign(hx[orders])
     # only roots in cells whose top reaches the largest |F| over the cell
@@ -357,8 +388,10 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     # only raise it); the rounding bound of each value joins the radius, as
     # P' = P * sum 1/(x - z_i) can cancel
     pts = np.concatenate([x, roots])
-    vals = np.abs(np.hstack([v[:-1], _values(P, roots, orders[-1])]))
-    M, E = _majorants(P, pts - xtol, pts + xtol, 1)
+    vr, Mr, p1r = _values(P, roots, orders[-1], xtol)
+    vals = np.abs(np.hstack([v[:-1], vr]))
+    M, p1 = np.concatenate([M, Mr]), np.concatenate([p1, p1r])
+    E = (1.0, p1 + 4.0 * _EPS * p1)     # padded as in _majorants
     for i, o in enumerate(orders):
         value = float(np.max(vals[o]))
         bound = vals[o] + 4.0 * (P.degree + 2) * _EPS * M * E[o]
@@ -411,15 +444,19 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     tol = 1e-12
     hidden = 0.0
 
-    def test(a, b, full):
-        nonlocal hidden
+    def block(a, b, full):
         c, err, tail = _series(P, a, b, (0,), full)[0]
         c = c.real
         hide = 2.0 * ((np.abs(c) + err) @ np.arange(c.shape[1]) + tail[1])
         flat = hide <= 16.0 * _EPS * (1.0 + np.abs(c[:, 0]))
+        return hide, flat, _no_root(c, err, tail[1], 1) | _no_root(c, err, tail[2], 2)
+
+    def test(a, b, full):
+        nonlocal hidden
+        hide, flat, simple = _in_cell_blocks(lambda a, b: block(a, b, full),
+                                             a, b, P.degree)
         hidden += float(np.sum(hide[flat]))
-        return (_no_root(c, err, tail[1], 1) | _no_root(c, err, tail[2], 2)
-                | flat), hide
+        return simple | flat, hide
 
     x, la, lb = _refine(_engine_grid(P, I),
                         lambda a, b: _settle_cheap_then_full(test, a, b),

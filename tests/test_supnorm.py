@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,12 +16,13 @@ from turanlab import (
     from_zeros,
     remark_family,
     sample,
+    small_logderiv_measure,
     sup_norm,
     sup_norm_derivative,
     total_variation,
     turan_ratio,
 )
-from turanlab import supnorm
+from turanlab import poly, supnorm
 from turanlab.supnorm import _engine_grid, _majorants, _narrow, _series
 
 from oracles import (
@@ -501,3 +503,56 @@ def test_cell_series_is_the_plain_recurrence_bit_for_bit():
             bound = (4.0 * (P.degree + 2) * 2.0 ** -52 * M[:, None]
                      * (r[:, None] * E[1][:, None]) ** np.arange(f.shape[1]))
             assert np.array_equal(err, bound)
+
+
+def _into_half_disk(zeros):
+    """The zeros reflected into the closed upper half-disk."""
+    z = np.asarray(zeros, dtype=complex)
+    z = np.where(z.imag < 0, np.conj(z), z)
+    return np.where(np.abs(z) > 1, z / np.abs(z), z)
+
+
+def test_blocks_never_change_a_bit(monkeypatch):
+    # every (zeros x points or cells) array is built in blocks of points or
+    # cells; the flat test of _sup_abs waits for the best of every block,
+    # where a running maximum would let the blocks decide which cells count
+    # as flat ((x^4 - 1)^10 has a flat interior maximum at 0)
+    rng = np.random.default_rng(7)
+    c = rng.choice([1e-6, 1e-3, 0.05, 0.5], size=60)
+    cluster = rng.uniform(-1.2, 1.2, 60) + 1j * c * rng.normal(0.0, 1.0, 60)
+    flat = from_zeros(1.0, [1.0, -1.0, 1j, -1j] * 10)
+    near_real = from_zeros(1.0, cluster)
+    member = sample(ClassSpec(200, 33, pin_interval_zero=True), seed=1)
+
+    def results():
+        out = [turan_ratio(P) for P in (flat, near_real, member)]
+        for P in (flat, near_real):
+            real = from_zeros(1.0, np.concatenate([P.zeros, np.conj(P.zeros)]))
+            out += [sup_norm(P), argmax_abs_derivative(P), total_variation(real)]
+        for P in (flat, near_real, member):
+            rep = small_logderiv_measure(from_zeros(1.0, _into_half_disk(P.zeros)), 1.0)
+            assert rep.measure.value > 0
+            out += [rep.measure, rep.intervals]
+        return out
+
+    default = results()
+    monkeypatch.setattr(poly, "_BLOCK_LIMIT", 1 << 40)      # one block
+    assert results() == default
+    monkeypatch.setattr(poly, "_BLOCK_LIMIT", 1)            # blocks of 2
+    assert poly._blocks(9, 1) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 9)]
+    assert results() == default
+
+
+def test_engine_memory_is_linear_in_the_degree():
+    # the (zeros x cells) arrays of one block are at most a few MB at any
+    # degree; with the whole 8d+8-cell grid in one array, this call traced
+    # 247 MB at d = 1000
+    P = sample(ClassSpec(1000, 166, pin_interval_zero=True), seed=1)
+    tracemalloc.start()
+    try:
+        cv = turan_ratio(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+    assert cv.err <= 1e-9 * cv.value, cv
