@@ -24,7 +24,7 @@ from .poly import Interval, Polynomial, _blockwise, _values, evaluate_many, from
 from .supnorm import (
     _EPS,
     CertifiedValue,
-    _engine_grid,
+    _cheb_grid,
     _refine,
     _sup_abs,
     sup_norm,
@@ -100,9 +100,11 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     """Measure and intervals of {|s| <= level} (small) or {|s| >= level}
     inside ambient, s = P'/P = sum 1/(x - z_i).
 
-    Cells start as the grid of the sup engine with the real parts of the
-    zeros inserted as ends.  On a cell [m - r, m + r], with dist_i the
-    distance of z_i to it, D2 = sum 1/dist_i^2 and D3 = sum 1/dist_i^3,
+    Cells start as the 8(d+1)-cell Chebyshev grid of ambient with the real
+    parts of the zeros inserted as ends; the sup engine's coarser start
+    costs this test more rounds than it saves.  On a cell [m - r, m + r],
+    with dist_i the distance of z_i to it, D2 = sum 1/dist_i^2 and
+    D3 = sum 1/dist_i^3,
 
         1/(x-z) - 1/(m-z) = (m-x) / ((x-z)(m-z)),
         1/(x-z)^2 - 1/(m-z)^2 = (m-x)(m+x-2z) / ((x-z)^2 (m-z)^2)
@@ -136,7 +138,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     zs = np.asarray(P.zeros, dtype=complex)[:, None]
     d = zs.size
     inner = zs.real[(zs.real > lo) & (zs.real < hi)]
-    grid = np.unique(np.concatenate([_engine_grid(P, ambient), inner]))
+    grid = np.unique(np.concatenate([_cheb_grid(lo, hi, 8 * d + 8), inner]))
     zr, zi2 = zs.real, zs.imag ** 2
     rnd = 4.0 * (d + 1) * _EPS
     cells, crossings = [np.zeros((2, 0))], [np.zeros((2, 0))]

@@ -3,18 +3,21 @@
 One engine computes ``max |F|`` over an interval for F = P, F = P' or
 both together, at any degree, from the zero list alone; one pass certifies
 ||P|| and ||P'|| for the ratio.  The real critical points of |F|^2 are the
-roots of h = 2 Re(conj(F) F').  The 8d+8-cell Chebyshev grid of the
-interval (d = deg P) is refined until bounds taken from the zero list prove
-that each cell holds, for every F asked for, at most one root of h, or no
-value of |F| above the maximum found so far; the Taylor series of P on a
-cell is built once (a zero at a time, in whole-row products that round as
-the plain recurrence does) and gives those of P and P'.  A sign scan of
-each h over the final cells then finds every root that matters; those in
-cells whose certified top of |F| could still exceed the largest |F| over
-the cell ends are narrowed together by Illinois steps (regula falsi,
-safeguarded by bisection).  The maximum of |F| over the cell ends and the
-narrowed roots, all evaluated in factored form, is the value; its radius
-is 64(d+1) eps times the value, plus the rounding bound of the values
+roots of h = 2 Re(conj(F) F').  A Chebyshev grid of the interval, of
+2(d+1) cells at high degree (d = deg P), is refined until bounds taken
+from the zero list prove that each cell holds, for every F asked for, at
+most one root of h, or no value of |F| above the maximum found so far;
+the Taylor series of P on a cell is built once (a zero at a time, in
+whole-row products that round as the plain recurrence does) and gives
+those of P and P'.  It is cut after tau^3, with a bound on the rest, and
+taken in full, at O(d^2) a cell, only where the cut form fails and
+bisection could not do better.  A sign scan of each h over the final
+cells then finds every root that matters; those in cells whose certified
+top of |F| could still exceed the largest |F| over the cell ends are
+narrowed together by Illinois steps (regula falsi, safeguarded by
+bisection).  The maximum of |F| over the cell ends and the narrowed
+roots, all evaluated in factored form, is the value; its radius is
+64(d+1) eps times the value, plus the rounding bound of the values
 (P' = P sum 1/(x - z_i) can cancel) and whatever a flat maximum or a cell
 given up on could still hide.  Total variation uses the same cell test on
 the roots of P'.
@@ -135,9 +138,11 @@ def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
 
 
 def _engine_grid(P: Polynomial, I: Interval) -> np.ndarray:
-    """The 8d+8-cell Chebyshev grid of I (d = deg P), without repeated
-    points, that every cell refinement in the package starts from."""
-    return np.unique(_cheb_grid(I.lo, I.hi, 8 * P.degree + 8))
+    """The Chebyshev grid of I, without repeated points, that _sup_abs and
+    total_variation start from: max(2(d+1), min(8(d+1), 128)) cells
+    (d = deg P), so 8(d+1) up to degree 15."""
+    n = P.degree + 1
+    return np.unique(_cheb_grid(I.lo, I.hi, max(2 * n, min(8 * n, 128))))
 
 
 def _majorants(P: Polynomial, a: np.ndarray, b: np.ndarray, kmax: int, mz=None):
@@ -153,9 +158,10 @@ def _majorants(P: Polynomial, a: np.ndarray, b: np.ndarray, kmax: int, mz=None):
     w = np.abs(mz)
     M = abs(P.leading) * np.prod(np.add(w, r, out=w), axis=0)
     inv = np.divide(1.0, w, out=w)
-    p, pw = [], np.ones_like(inv)
-    for _ in range(kmax):
-        pw *= inv
+    # the power sums start from inv itself; its square is the one more array
+    p, pw = [np.sum(inv, axis=0)], inv
+    for k in range(1, kmax):
+        pw = pw * inv if k == 1 else np.multiply(pw, inv, out=pw)
         p.append(np.sum(pw, axis=0))
     E = [np.ones_like(m)]
     for k in range(1, kmax + 1):
@@ -279,11 +285,20 @@ def _refine(x: np.ndarray, settle, min_width: float, degree: int):
     return np.sort(np.concatenate(ends)), *np.concatenate(left, axis=1)
 
 
-def _settle_cheap_then_full(test, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _settle_cheap_then_full(test, a: np.ndarray, b: np.ndarray, degree: int):
     """Cells that test(a, b, full) accepts with the cheap _series, or else
-    with the full one."""
-    ok = test(a, b, False)[0]
+    with the full one; test returns (accepted, bound, near) per cell.
+
+    A full cell costs about (d+1)/4 cheap ones, plus O(d^2) in _square; a
+    bisected one, two cheap ones a round until it settles.  So a round's
+    failed cells all go on to the full series only while failed (d+1) <=
+    16 cells; past that only those marked near (flat cells at a maximum,
+    which bisection is slow to settle) do, and the rest are bisected.
+    """
+    ok, _, near = test(a, b, False)
     rest = np.flatnonzero(~ok)
+    if rest.size * (degree + 1) > 16 * a.size:
+        rest = rest[near[rest]]
     if rest.size:
         ok[rest] = test(a[rest], b[rest], True)[0]
     return ok
@@ -329,21 +344,24 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     cells = [(np.zeros(0), np.zeros((len(orders), 0)))]
 
     def block(a, b, full):
-        """(top, at most one root) per order and cell of one block."""
-        tops, simple = [], []
+        """(top, at most one root, top less remainder) per order and cell."""
+        tops, simple, free = [], [], []
         for i, (f, err, tail) in enumerate(_series(P, a, b, orders, full)):
             best[i] = max(best[i], float(np.max(np.abs(f[:, 0]) - err[:, 0], initial=0.0)))
             q, qerr, qtail = _modulus_square(f, err, tail)
-            tops.append(np.sqrt(q[:, 0] + np.sum(np.abs(q[:, 1:]), axis=1)
-                                + np.sum(qerr, axis=1) + qtail[0]))
+            s = q[:, 0] + np.sum(np.abs(q[:, 1:]), axis=1) + np.sum(qerr, axis=1)
+            tops.append(np.sqrt(s + qtail[0]))
+            free.append(np.sqrt(s))
             simple.append(_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2))
-        return np.array(tops), np.array(simple)
+        return np.array(tops), np.array(simple), np.array(free)
 
     def test(a, b, full):
-        tops, simple = _in_cell_blocks(lambda a, b: block(a, b, full), a, b, P.degree)
+        tops, simple, free = _in_cell_blocks(lambda a, b: block(a, b, full),
+                                             a, b, P.degree)
         # the flat test waits for best to take every block: a running
         # maximum would let the blocks decide which cells count as flat
-        flat = tops <= np.array(best)[:, None] * (1.0 + np.array(rho)[:, None])
+        peak = np.array(best)[:, None]
+        flat = tops <= peak * (1.0 + np.array(rho)[:, None])
         for i, (top, f) in enumerate(zip(tops, flat)):
             ceiling[i] = max(ceiling[i], float(np.max(top[f], initial=0.0)))
         ok = np.all(simple | flat, axis=0)
@@ -351,10 +369,12 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
         # left end with the next cell
         keep = ok & (b > a)
         cells.append((a[keep], tops[:, keep]))
-        return ok, tops
+        # near: the top without the remainder lies within 1e-9 of best, as
+        # on the flat cells at a maximum, which bisection is slow to settle
+        return ok, tops, np.any(np.abs(free - peak) <= 1e-9 * peak, axis=0)
 
     x, la, lb = _refine(_engine_grid(P, I),
-                        lambda a, b: _settle_cheap_then_full(test, a, b),
+                        lambda a, b: _settle_cheap_then_full(test, a, b, P.degree),
                         xtol, P.degree)
     # the certified top of |F| on each final cell, per order; inf on the
     # cells given up on, which have no record
@@ -447,19 +467,21 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     def block(a, b, full):
         c, err, tail = _series(P, a, b, (0,), full)[0]
         c = c.real
-        hide = 2.0 * ((np.abs(c) + err) @ np.arange(c.shape[1]) + tail[1])
-        flat = hide <= 16.0 * _EPS * (1.0 + np.abs(c[:, 0]))
-        return hide, flat, _no_root(c, err, tail[1], 1) | _no_root(c, err, tail[2], 2)
+        s = (np.abs(c) + err) @ np.arange(c.shape[1])
+        hide, below = 2.0 * (s + tail[1]), 16.0 * _EPS * (1.0 + np.abs(c[:, 0]))
+        simple = _no_root(c, err, tail[1], 1) | _no_root(c, err, tail[2], 2)
+        return hide, hide <= below, simple, 2.0 * s <= below
 
     def test(a, b, full):
         nonlocal hidden
-        hide, flat, simple = _in_cell_blocks(lambda a, b: block(a, b, full),
-                                             a, b, P.degree)
+        hide, flat, simple, near = _in_cell_blocks(lambda a, b: block(a, b, full),
+                                                   a, b, P.degree)
         hidden += float(np.sum(hide[flat]))
-        return simple | flat, hide
+        # near: the cell would be flat but for the remainder
+        return simple | flat, hide, near
 
     x, la, lb = _refine(_engine_grid(P, I),
-                        lambda a, b: _settle_cheap_then_full(test, a, b),
+                        lambda a, b: _settle_cheap_then_full(test, a, b, P.degree),
                         tol, P.degree)
     dv = derivative_values(P, x).real
     i = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)

@@ -556,3 +556,55 @@ def test_engine_memory_is_linear_in_the_degree():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20, peak
     assert cv.err <= 1e-9 * cv.value, cv
+
+
+def _chebyshev(n):
+    """T_n / 2^(n-1), from its zeros cos((2j+1) pi / (2n))."""
+    return from_zeros(1.0, np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n)))
+
+
+def _unity_power(m, n):
+    """(z^m - 1)^n: on [-1, 1], |P| = (1 - x^m)^n for even m, flat to order
+    m at its maximum 1 at x = 0."""
+    return from_zeros(1.0, np.tile(np.exp(2j * np.pi * np.arange(m) / m), n))
+
+
+@pytest.mark.parametrize("n", [60, 200])
+def test_chebyshev_ratio_is_markovs_n_squared(n):
+    # Markov's inequality is an equality for T_n: ||T_n'|| / ||T_n|| = n^2
+    cv = turan_ratio(_chebyshev(n))
+    assert abs(cv.value - n * n) <= cv.err <= 1e-9 * n * n, cv
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_unity_power_sup_norm_is_one_at_zero(m, n):
+    P = _unity_power(m, n)
+    cv = sup_norm(P)
+    assert abs(cv.value - 1.0) <= cv.err <= 1e-9, cv
+    # the reported argmax lies where (1 - x^m)^n is within 128 eps of 1
+    assert n * argmax_abs(P) ** m <= 128 * np.finfo(float).eps
+    # with both norms in one pass, the flat cells at the maximum settle only
+    # on the full series; bisected instead, they reach _refine's cap, and
+    # (z^16 - 1)^10 gets a radius of 4.6e-8 relative
+    ratio = turan_ratio(P)
+    assert ratio.err <= 1e-9 * ratio.value, ratio
+
+
+def test_cells_go_to_the_full_series_only_where_bisection_cannot_win(monkeypatch):
+    # cells per form of _series, measured on the built code; the bounds
+    # leave a quarter over those counts.  When every cell the cheap series
+    # fails went on to the full one, T_200 took 454 full-series cells and
+    # (z^16 - 1)^10, with its flat maximum, 422.
+    series, cells = supnorm._series, {False: 0, True: 0}
+
+    def counted(P, a, b, orders, full):
+        cells[full] += a.size
+        return series(P, a, b, orders, full)
+
+    monkeypatch.setattr(supnorm, "_series", counted)
+    turan_ratio(_chebyshev(200))                # 3,930 cheap, 0 full
+    assert cells[True] == 0 and cells[False] <= 1.25 * 3930, cells
+    cells.update({False: 0, True: 0})
+    turan_ratio(_unity_power(16, 10))           # 3,198 cheap, 56 full
+    assert cells[True] <= 1.25 * 56 and cells[False] <= 1.25 * 3198, cells
