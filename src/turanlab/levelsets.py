@@ -130,9 +130,11 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     of the piece takes the class of the cell end on its side (the crossing
     is in the piece, so no split of it errs by more than its width), and
     the width goes into the radius.  Any other cell, as at a tangency of |s|
-    with the level, is split.  A cell narrower than _MIN_CELL, or live when
-    the cells would exceed the cap, is given up on: it is classified by its
-    midpoint and its width goes into the radius.
+    with the level, is split.  _refine returns each final cell with a code:
+    0 out, 1 in, 2 crossing located (the crossing step records its inside
+    part and piece, as they divide the cell).  A cell narrower than
+    _MIN_CELL, or live when the cells would exceed the cap, is given up on:
+    its midpoint classifies it and its width goes into the radius.
     """
     lo, hi = ambient.lo, ambient.hi
     zs = np.asarray(P.zeros, dtype=complex)[:, None]
@@ -141,7 +143,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     grid = np.unique(np.concatenate([_cheb_grid(lo, hi, 8 * d + 8), inner]))
     zr, zi2 = zs.real, zs.imag ** 2
     rnd = 4.0 * (d + 1) * _EPS
-    cells, crossings = [np.zeros((2, 0))], [np.zeros((2, 0))]
+    located = [np.zeros((4, 0))]    # (inside part, piece) of each crossing
     pending = []    # (a, b, in at a, s, s') of the cells to locate a crossing in
 
     def classify(s, slack):
@@ -171,15 +173,15 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     # every (zeros x cells) array is built on blocks of cells; the crossings
     # of all blocks are located together, as the Newton steps run in lockstep
     def settle(a, b):
-        done, cross = _blockwise(settle_block, d, a, b)
+        done, code = _blockwise(settle_block, d, a, b)
         if pending:
             found = pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending))
-            done[cross] = crossing(*found)
+            done[code == 2] = crossing(*found)
             pending.clear()
-        return done
+        return done, code
 
     def settle_block(a, b):
-        """(settled, holds one crossing to locate) per cell [a, b]."""
+        """(settled, code: 0 out, 1 in, 2 one crossing to locate) per cell."""
         m = 0.5 * (a + b)
         r = np.maximum(b - m, m - a)
         inv = 1.0 / (m - zs)
@@ -189,13 +191,12 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         s = inv.sum(0)
         e1 = r * d2 + rnd * np.abs(inv).sum(0)
         inside, outside, _ = classify(s, e1)
-        cells.append(np.array([a[inside], b[inside]]))
         done = inside | outside
-        cross = np.zeros(done.size, dtype=bool)
+        code = inside.astype(np.int8)
         # |Re(conj(s) s')| <= |s| |s'| can only exceed the bound if e1 < |s|
         k = np.flatnonzero(~done & (e1 < np.abs(s)))
         if not k.size:
-            return done, cross
+            return done, code
         inv, w, s, e1 = inv[:, k], w[:, k], s[k], e1[k]
         sp = -(inv * inv).sum(0)
         # rnd_s' = 8 (d + 1) eps sum |1/(m - z_i)|^2 <= 8 (d + 1) eps D2
@@ -207,23 +208,22 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         mono = np.abs(dot) > bound
         k, s, sp = k[mono], s[mono], sp[mono]
         if not k.size:
-            return done, cross
+            return done, code
         ka, kb = a[k], b[k]
         ins, outs, _ = point(np.concatenate([ka, kb]))
         ia, ib, oa, ob = ins[:k.size], ins[k.size:], outs[:k.size], outs[k.size:]
         whole = ia & ib
         done[k] = whole | (oa & ob)
-        cells.append(np.array([ka[whole], kb[whole]]))
         one = (ia & ob) | (oa & ib)
+        code[k] = whole + 2 * one
         if one.any():
-            cross[k[one]] = True
             pending.append((ka[one], kb[one], ia[one], s[one], sp[one]))
-        return done, cross
+        return done, code
 
     def crossing(a, b, ina, s, sp):
         """Locate and certify the one crossing of the level in each cell
         [a, b], given s and s' at the midpoints; True where it is certified
-        and the pieces are recorded."""
+        and the inside part and the piece are recorded."""
         below_left = ina == small   # |s|^2 - level^2 < 0 at a
         x, xl, xr = 0.5 * (a + b), a, b
         for _ in range(64):   # bisection alone takes width 2 below _MIN_CELL/4 in 43
@@ -245,16 +245,17 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         n = a.size
         ok = np.where(ina, ins[:n] & outs[n:], outs[:n] & ins[n:])
         a, b, x, ina = a[ok], b[ok], x[ok], ina[ok]
-        cells.append(np.array([np.where(ina, a, x), np.where(ina, x, b)]))
-        crossings.append(np.array([pl[ok], pr[ok]]))
+        located.append(np.array([np.where(ina, a, x), np.where(ina, x, b),
+                                 pl[ok], pr[ok]]))
         return ok
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, la, lb = _refine(grid, settle, _MIN_CELL, d)
-        take = point(0.5 * (la + lb))[2]
-    cells.append(np.array([la[take], lb[take]]))
-    la, lb = np.concatenate([np.concatenate(crossings, axis=1), [la, lb]], axis=1)
-    cells = np.concatenate(cells, axis=1)
+        a, b, code, given_up = _refine(grid, settle, _MIN_CELL, d)
+        if given_up.any():
+            code[given_up] = point(0.5 * (a[given_up] + b[given_up]))[2]
+    located = np.concatenate(located, axis=1)
+    inside = code == 1
+    cells = np.concatenate([[a[inside], b[inside]], located[:2]], axis=1)
     cells = cells[:, cells[1] > cells[0]]
     cells = cells[:, np.argsort(cells[0], kind="stable")]
     intervals = []
@@ -263,8 +264,8 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
             intervals[-1][1] = x1
         else:
             intervals.append([x0, x1])
-    measure = CertifiedValue(float(np.sum(cells[1] - cells[0])),
-                             float(np.sum(lb - la)))
+    widths = np.concatenate([located[3] - located[2], (b - a)[given_up]])
+    measure = CertifiedValue(float(np.sum(cells[1] - cells[0])), float(np.sum(widths)))
     return measure, tuple(Interval(x0, x1) for x0, x1 in intervals)
 
 

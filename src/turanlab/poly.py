@@ -92,8 +92,9 @@ def _blocks(n: int, width: int) -> list:
 
 def _blockwise(fn, width: int, *cols) -> tuple:
     """The per-point arrays fn(*cols) returns, computed on the _blocks of
-    the points (the entries of cols) and joined along the last axis."""
-    blocks = _blocks(cols[0].size, width)
+    the points (the entries, or rows, of cols) and joined along the last
+    axis."""
+    blocks = _blocks(len(cols[0]), width)
     if len(blocks) == 1:
         return fn(*cols)
     parts = [fn(*(c[sl] for c in cols)) for sl in blocks]

@@ -280,19 +280,6 @@ def _nelder_mead(objective, sim, budget: int, xatol: float):
         sim, fsim = _ordered(sim, fsim)
 
 
-def _in_blocks(objective, width: int):
-    """``objective`` applied to a stack in equal row blocks, each of at most
-    poly._BLOCK_LIMIT entries (rows x width) or of one row.  With blocks of
-    2,000,000 entries, minimize_ratio at n = 40 with 32 restarts of 300
-    peaked at 101 MB of RSS against 45 MB with these, and ran no faster."""
-    def blocked(rows):
-        blocks = min(len(rows), -(-len(rows) * width // poly._BLOCK_LIMIT))
-        if blocks == 1:
-            return objective(rows)
-        return np.concatenate([objective(b) for b in np.array_split(rows, blocks)])
-    return blocked
-
-
 def _lowest_certified(objective, width: int, starts, budget: int,
                       xatol: float, certify, warm=()):
     """The restart-and-certify loop shared by every search.
@@ -302,8 +289,8 @@ def _lowest_certified(objective, width: int, starts, budget: int,
     start with ``budget`` evaluations each, and scores ``certify(x)`` at the
     end points in restart order, each a (CertifiedValue, item) pair or None
     to skip it.  ``objective`` maps a stack of points to their values and
-    builds about ``width`` broadcast entries per point; it is called on row
-    blocks that keep a block within poly._BLOCK_LIMIT entries.  The lowest
+    builds about ``width`` broadcast entries per point; it is called on the
+    row blocks of poly._blocks.  The lowest
     (certified value, |x|) wins, a warm item counting as |x| = inf; on a
     tie the earlier candidate stays.  Returns ((cert, item, x), evaluations,
     trace), x being None for a warm winner and the trace holding
@@ -328,8 +315,12 @@ def _lowest_certified(objective, width: int, starts, budget: int,
         consider(scored, None)
     x0 = np.array(starts, dtype=float)[:, None, :]
     sim = np.concatenate([x0, x0 + _SIMPLEX_SCALE * np.eye(x0.shape[2])], axis=1)
-    final, _, used = _nelder_mead(_in_blocks(objective, width), sim, budget,
-                                  xatol)
+    # blocks of poly._BLOCK_LIMIT entries: with 2,000,000, minimize_ratio at
+    # n = 40 with 32 restarts of 300 peaked at 101 MB of RSS against 45 MB
+    # with these, and ran no faster
+    final, _, used = _nelder_mead(
+        lambda rows: poly._blockwise(lambda r: (objective(r),), width, rows)[0],
+        sim, budget, xatol)
     for x, n in zip(final[:, 0], used):
         evals += int(n)
         consider(certify(x), x)

@@ -263,31 +263,39 @@ def _no_root(c: np.ndarray, err: np.ndarray, tail: np.ndarray, k: int) -> np.nda
 
 def _refine(x: np.ndarray, settle, min_width: float, degree: int):
     """Bisect the cells of the ascending grid x until settle(a, b) accepts
-    each one.
+    each one; settle returns (accepted, record), the record an array whose
+    last axis runs over the cells.
 
-    Returns the ends of the final cells and the cells given up on (as two
-    arrays of left and right ends): those narrower than min_width, and every
-    live cell once the live cells times the degree would pass
-    _BROADCAST_LIMIT (at least 16(d+1) cells are kept).
+    Returns the final cells, which tile x, in ascending order as
+    (a, b, record, given_up): each cell's record comes from the test that
+    accepted it, or from the one that last failed it if it was given up
+    on: narrower than min_width, or live once the live cells times the
+    degree would pass _BROADCAST_LIMIT (at least 16(d+1) cells are kept).
+    settle runs at least once, so an empty grid still has a record.
     """
     cap = max(16 * (degree + 1), _BROADCAST_LIMIT // max(degree, 1))
     a, b = x[:-1], x[1:]
-    ends, left = [x], [np.zeros((2, 0))]
-    while a.size:
-        keep = ~settle(a, b)
-        a, b = a[keep], b[keep]
-        stop = (b - a < min_width) | (2 * a.size > cap)
-        left.append(np.stack([a[stop], b[stop]]))
-        a, b = a[~stop], b[~stop]
+    final = []
+    while True:
+        ok, record = settle(a, b)
+        stop = ~ok & ((b - a < min_width) | (2 * np.count_nonzero(~ok) > cap))
+        done = ok | stop
+        final.append((a[done], b[done], record[..., done], stop[done]))
+        if done.all():
+            break
+        a, b = a[~done], b[~done]
         m = 0.5 * (a + b)
-        ends.append(m)
         a, b = np.concatenate([a, m]), np.concatenate([m, b])
-    return np.sort(np.concatenate(ends)), *np.concatenate(left, axis=1)
+    a, b, record, given_up = (np.concatenate(p, axis=-1) for p in zip(*final))
+    # by both ends: a midpoint rounded onto an end leaves a zero-width cell
+    order = np.lexsort((b, a))
+    return a[order], b[order], record[..., order], given_up[order]
 
 
 def _settle_cheap_then_full(test, a: np.ndarray, b: np.ndarray, degree: int):
-    """Cells that test(a, b, full) accepts with the cheap _series, or else
-    with the full one; test returns (accepted, bound, near) per cell.
+    """(accepted, record) per cell [a, b]: accepted by test(a, b, full) with
+    the cheap _series, or else with the full one, whose record the cells it
+    took keep; test returns (accepted, record, near) per cell.
 
     A full cell costs about (d+1)/4 cheap ones, plus O(d^2) in _square; a
     bisected one, two cheap ones a round until it settles.  So a round's
@@ -295,13 +303,13 @@ def _settle_cheap_then_full(test, a: np.ndarray, b: np.ndarray, degree: int):
     16 cells; past that only those marked near (flat cells at a maximum,
     which bisection is slow to settle) do, and the rest are bisected.
     """
-    ok, _, near = test(a, b, False)
+    ok, record, near = test(a, b, False)
     rest = np.flatnonzero(~ok)
     if rest.size * (degree + 1) > 16 * a.size:
         rest = rest[near[rest]]
     if rest.size:
-        ok[rest] = test(a[rest], b[rest], True)[0]
-    return ok
+        ok[rest], record[..., rest] = test(a[rest], b[rest], True)[:2]
+    return ok, record
 
 
 def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
@@ -314,22 +322,22 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     (_series, built once for all orders) proves that g has no root there,
     or at most one (g' has none, so a root shows as a sign change), or that
     |F| stays below the maximum found so far plus the radius, as at flat
-    maxima like that of (x^4 - 1)^n at 0.  A half of a cell keeps what was
-    proven on the whole, so a cell one order bisects still serves the
-    other.  Each maximum is taken over the cell ends and the roots in
-    sign-change cells, all orders' roots narrowed together.  Any possible
-    excess over each maximum joins its radius: from cells accepted by the
-    last test or given up on, and from the rounding of the values.
+    maxima like that of (x^4 - 1)^n at 0.  Each maximum is taken over the
+    cell ends and the roots in sign-change cells, all orders' roots
+    narrowed together.  Any possible excess over each maximum joins its
+    radius: from the final cells flat for its order or given up on, and
+    from the rounding of the values.
 
     Only roots that could raise a maximum are narrowed.  The test records,
-    for each cell it accepts, top, its certified bound on |F| there (the
-    bound the radius already trusts for flat cells).  A root of order o is
+    for each cell, top, its certified bound on |F| there (the bound the
+    radius already trusts for flat cells).  A root of order o is
     dropped when its cell's top is below floor_o (1 - 64 eps), floor_o the
     largest computed |F_o| over the cell ends.  The reported value is at
     least floor_o, and the margin covers the rounding of top, so |F_o|
     stays below the value on that cell: the radius still holds, and the
-    root would have fallen outside the argmax's 64-eps band.  Cells given
-    up on have no record, and their roots are always narrowed.
+    root would have fallen outside the argmax's 64-eps band.  A cell given
+    up on keeps the record of the last test that failed it, whose top bounds
+    its possible excess; its roots are always narrowed.
     """
     out = {o: (0.0, 0.0, I.lo) for o in orders}
     orders = [o for o in orders if P.degree >= o]
@@ -339,9 +347,7 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     P = Polynomial(P.leading / scale, P.zeros)
     xtol = 1e-13 * max(1.0, I.length)
     rho = [64.0 * (P.degree - o + 1) * _EPS for o in orders]
-    best, ceiling = [0.0] * len(orders), [0.0] * len(orders)
-    # (left ends, top per order) of the cells test accepts
-    cells = [(np.zeros(0), np.zeros((len(orders), 0)))]
+    best = [0.0] * len(orders)
 
     def block(a, b, full):
         """(top, at most one root, top less remainder) per order and cell."""
@@ -356,34 +362,27 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
         return np.array(tops), np.array(simple), np.array(free)
 
     def test(a, b, full):
+        """(accepted, record (top, flat) per order, near) per cell."""
         tops, simple, free = _in_cell_blocks(lambda a, b: block(a, b, full),
                                              a, b, P.degree)
         # the flat test waits for best to take every block: a running
         # maximum would let the blocks decide which cells count as flat
         peak = np.array(best)[:, None]
         flat = tops <= peak * (1.0 + np.array(rho)[:, None])
-        for i, (top, f) in enumerate(zip(tops, flat)):
-            ceiling[i] = max(ceiling[i], float(np.max(top[f], initial=0.0)))
-        ok = np.all(simple | flat, axis=0)
-        # a zero-width cell (a midpoint rounded onto an end) would share its
-        # left end with the next cell
-        keep = ok & (b > a)
-        cells.append((a[keep], tops[:, keep]))
         # near: the top without the remainder lies within 1e-9 of best, as
         # on the flat cells at a maximum, which bisection is slow to settle
-        return ok, tops, np.any(np.abs(free - peak) <= 1e-9 * peak, axis=0)
+        return (np.all(simple | flat, axis=0), np.array([tops, flat]),
+                np.any(np.abs(free - peak) <= 1e-9 * peak, axis=0))
 
-    x, la, lb = _refine(_engine_grid(P, I),
-                        lambda a, b: _settle_cheap_then_full(test, a, b, P.degree),
-                        xtol, P.degree)
+    a, _, (tops, flat), given_up = _refine(
+        _engine_grid(P, I), lambda a, b: _settle_cheap_then_full(test, a, b, P.degree),
+        xtol, P.degree)
+    x = np.append(a, I.hi)      # the final cells tile the grid
+    # what flat cells and cells given up on could hide, per order
+    ceiling = np.max(tops, axis=1, where=(flat > 0) | given_up, initial=0.0)
     # the certified top of |F| on each final cell, per order; inf on the
-    # cells given up on, which have no record
-    cell_top = np.full((len(orders), x.size - 1), np.inf)
-    at = np.searchsorted(x, np.concatenate([c[0] for c in cells]), side="right") - 1
-    cell_top[:, at] = np.concatenate([c[1] for c in cells], axis=1)
-    if la.size:
-        ceiling = [max(c, float(np.max(t)))
-                   for c, t in zip(ceiling, test(la, lb, False)[1])]
+    # cells given up on, whose roots are always narrowed
+    cell_top = np.where(given_up, np.inf, tops)
 
     # the sign changes of h = 2 Re(conj(F) F') for every F, labelled by order
     def h(xs, o=None):          # o = None: the highest order
@@ -415,7 +414,7 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     for i, o in enumerate(orders):
         value = float(np.max(vals[o]))
         bound = vals[o] + 4.0 * (P.degree + 2) * _EPS * M * E[o]
-        excess = max(ceiling[i], float(np.max(bound)))
+        excess = max(float(ceiling[i]), float(np.max(bound)))
         if not (np.all(np.isfinite(vals[o])) and np.isfinite(excess)):
             raise OverflowEvaluationError("sup-norm evaluation")
         argmax = float(np.min(pts[vals[o] >= value * (1.0 - 64.0 * _EPS)]))
@@ -452,8 +451,8 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     bisected until the Taylor series of P on each (_series) proves it holds
     no root of P' or at most one, or that the variation it can hide,
     2r sup|P'|, is below rounding.  The sign changes of P' are narrowed to
-    1e-12 and the cell ends stay in as breakpoints.  The variation hidden
-    in cells, also in cells given up on, joins the radius.
+    1e-12 and the cell ends stay in as breakpoints.  The variation the final
+    cells can hide, where flat or given up on, joins the radius.
     """
     pv = evaluate_many(P, np.linspace(I.lo, I.hi, 5))
     if np.any(np.abs(pv.imag) > 1e-9 * (1.0 + np.abs(pv))):
@@ -462,27 +461,25 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     if P.degree == 0:
         return CertifiedValue(0.0, 0.0)
     tol = 1e-12
-    hidden = 0.0
 
     def block(a, b, full):
+        """(accepted, record (hide, flat), near) per cell."""
         c, err, tail = _series(P, a, b, (0,), full)[0]
         c = c.real
         s = (np.abs(c) + err) @ np.arange(c.shape[1])
         hide, below = 2.0 * (s + tail[1]), 16.0 * _EPS * (1.0 + np.abs(c[:, 0]))
+        flat = hide <= below
         simple = _no_root(c, err, tail[1], 1) | _no_root(c, err, tail[2], 2)
-        return hide, hide <= below, simple, 2.0 * s <= below
+        # near: the cell would be flat but for the remainder
+        return simple | flat, np.array([hide, flat]), 2.0 * s <= below
 
     def test(a, b, full):
-        nonlocal hidden
-        hide, flat, simple, near = _in_cell_blocks(lambda a, b: block(a, b, full),
-                                                   a, b, P.degree)
-        hidden += float(np.sum(hide[flat]))
-        # near: the cell would be flat but for the remainder
-        return simple | flat, hide, near
+        return _in_cell_blocks(lambda a, b: block(a, b, full), a, b, P.degree)
 
-    x, la, lb = _refine(_engine_grid(P, I),
-                        lambda a, b: _settle_cheap_then_full(test, a, b, P.degree),
-                        tol, P.degree)
+    a, _, (hide, flat), given_up = _refine(
+        _engine_grid(P, I), lambda a, b: _settle_cheap_then_full(test, a, b, P.degree),
+        tol, P.degree)
+    x = np.append(a, I.hi)
     dv = derivative_values(P, x).real
     i = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)
     roots = _narrow(lambda xs: derivative_values(P, xs).real,
@@ -492,6 +489,5 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     tv = float(np.sum(np.abs(np.diff(vals))))
     md = float(np.max(np.abs(dv)))
     err = 2.0 * len(pts) * (tol * md + 16.0 * _EPS * (1.0 + float(np.max(np.abs(vals)))))
-    if la.size:
-        hidden += float(np.sum(test(la, lb, False)[1]))
+    hidden = float(np.sum(hide[(flat > 0) | given_up]))
     return CertifiedValue(tv, err + hidden)

@@ -419,5 +419,5 @@ def test_search_results_do_not_depend_on_block_size(monkeypatch):
                      c.ratio, c.params, c.evals, c.trace))
 
     whole = results()
-    monkeypatch.setattr(poly, "_BLOCK_LIMIT", 1)        # one row per block
+    monkeypatch.setattr(poly, "_BLOCK_LIMIT", 1)        # two rows per block
     assert results() == whole

@@ -14,6 +14,7 @@ from turanlab import (
     argmax_abs,
     argmax_abs_derivative,
     from_zeros,
+    large_logderiv_measure,
     remark_family,
     sample,
     small_logderiv_measure,
@@ -217,20 +218,32 @@ def test_flat_maximum_and_flat_critical_point_keep_tight_radii():
     assert elapsed < 1.0
 
 
+def _coarse_refine(monkeypatch, after=None):
+    """Force min_width = 1 on supnorm._refine; returns the list that gets
+    the number of cells each call gives up on.  A given list after is
+    empty while a call runs and holds True once it has returned."""
+    refine, given_up = supnorm._refine, []
+
+    def coarse(x, settle, min_width, degree):
+        if after is not None:
+            after.clear()
+        out = refine(x, settle, 1.0, degree)
+        given_up.append(np.count_nonzero(out[3]))
+        if after is not None:
+            after.append(True)
+        return out
+
+    monkeypatch.setattr(supnorm, "_refine", coarse)
+    return given_up
+
+
 def test_cells_given_up_on_widen_the_radius_and_keep_the_enclosure(monkeypatch):
     # with min_width = 1 every cell the first round leaves unsettled is
     # given up on: its possible excess joins the radius of the sup norm,
     # and its hidden variation that of the total variation
     cases = [(1e-5, TWIN_MAXIMA), (1.0, [1.0, -1.0, 1j, -1j] * 20)]
     tight = [sup_norm(from_zeros(lead, zeros)) for lead, zeros in cases]
-    refine, given_up = supnorm._refine, []
-
-    def coarse(x, settle, min_width, degree):
-        out = refine(x, settle, 1.0, degree)
-        given_up.append(out[1].size)
-        return out
-
-    monkeypatch.setattr(supnorm, "_refine", coarse)
+    given_up = _coarse_refine(monkeypatch)
     for (lead, zeros), normal in zip(cases, tight):
         cv = sup_norm(from_zeros(lead, zeros))
         assert cv.err > normal.err, (cv, normal)
@@ -239,6 +252,95 @@ def test_cells_given_up_on_widen_the_radius_and_keep_the_enclosure(monkeypatch):
     tv = total_variation(from_zeros(1.0, [0.04, 0.05, 0.06]))
     assert abs(tv.value - 2.0148015396) <= tv.err, tv
     assert len(given_up) == 3 and min(given_up) > 0, given_up
+
+
+def test_refine_returns_the_final_cells_in_order_with_their_own_records():
+    # the record of a cell is (its ends, the index of the settle call that
+    # gave it): on a uniform grid a cell of width h / 2^k was last tested
+    # by call k, whether it was accepted there or given up on
+    x = np.linspace(0.0, 1.0, 11)
+    calls = []
+
+    def settle(a, b):
+        calls.append(a.size)
+        hard = (a <= 0.3) & (0.3 <= b)
+        return ~hard, np.stack([a, b, np.full(a.size, len(calls) - 1.0)])
+
+    a, b, record, given_up = supnorm._refine(x, settle, 1e-3, 4)
+    assert a[0] == x[0] and b[-1] == x[-1] and np.array_equal(b[:-1], a[1:])
+    assert np.array_equal(record[0], a) and np.array_equal(record[1], b)
+    assert np.array_equal(record[2], np.round(np.log2(0.1 / (b - a))))
+    assert np.array_equal(given_up, (a <= 0.3) & (0.3 <= b) & (b - a < 1e-3))
+    assert 0 < np.count_nonzero(given_up) < a.size
+
+    # past the cap every live cell is given up on: 100 cells all failing
+    # double for five rounds, to 3,200 > 5,665 / 2 = cap / 2 at d = 353
+    x = np.linspace(0.0, 1.0, 101)
+    a, b, record, given_up = supnorm._refine(
+        x, lambda a, b: (np.zeros(a.size, dtype=bool), np.stack([a, b])), 1e-12, 353)
+    assert given_up.all() and a.size == 3200
+    assert np.array_equal(record, [a, b]) and np.array_equal(b[:-1], a[1:])
+
+    # an empty grid still runs settle once and gets an empty record
+    calls.clear()
+    a, b, record, given_up = supnorm._refine(np.array([0.5]), settle, 1e-3, 4)
+    assert calls == [0] and a.size == b.size == given_up.size == 0
+    assert record.shape == (3, 0)
+
+
+def test_no_cell_series_after_refine_returns(monkeypatch):
+    # every final cell comes back with what its test proved, so nothing
+    # tests a cell again, also where cells are given up on
+    after, late = [], []
+    given_up = _coarse_refine(monkeypatch, after)
+    series = supnorm._series
+
+    def spy(*args):
+        late.append(bool(after))
+        return series(*args)
+
+    monkeypatch.setattr(supnorm, "_series", spy)
+    for lead, zeros in [(1e-5, TWIN_MAXIMA), (1.0, [1.0, -1.0, 1j, -1j] * 20)]:
+        sup_norm(from_zeros(lead, zeros))
+        turan_ratio(from_zeros(lead, zeros))
+    total_variation(from_zeros(1.0, [1.0, -1.0, 1j, -1j] * 3))
+    assert late and not any(late)
+    assert min(given_up) > 0, given_up
+
+
+def test_cells_given_up_on_keep_the_record_of_their_last_test(monkeypatch):
+    # a given-up cell's radius term comes from the test that last failed
+    # it; re-tested by the cheap series instead, these radii were 2.9e-2
+    # and 4.8e-4
+    given_up = _coarse_refine(monkeypatch)
+    zeros = [1.0, -1.0, 1j, -1j] * 20
+    cv = sup_norm(from_zeros(1.0, zeros))
+    assert cv.err <= 1e-5, cv
+    assert cv.value + cv.err >= zero_list_grid_max(1.0, zeros, 0, m=200_001)
+    assert cv.value - cv.err <= zero_list_sup_upper(1.0, zeros, 0)
+    tv = total_variation(from_zeros(1.0, [1.0, -1.0, 1j, -1j] * 3))
+    assert abs(tv.value - 2.0) <= tv.err <= 1e-4, tv
+    assert min(given_up) > 0, given_up
+
+
+def test_degenerate_interval_is_one_point():
+    # Interval(c, c) leaves the engines an empty grid: the norms are the
+    # values at c and the variation and both level-set measures are 0
+    c, I = 0.25, Interval(0.25, 0.25)
+    zeros = [0.3 + 0.4j, -0.5 + 0.2j, 0.7j]
+    P = from_zeros(1.0, zeros)
+    p0 = zero_list_values(1.0, zeros, [c])[0]
+    p1 = zero_list_derivative(1.0, zeros, [c])[0]
+    cv = sup_norm(P, I)
+    assert abs(cv.value - abs(p0)) <= cv.err <= 1e-12, cv
+    cv = turan_ratio(P, I)
+    assert abs(cv.value - abs(p1 / p0)) <= cv.err <= 1e-11, cv
+    cv = total_variation(from_zeros(1.0, [0.4, -0.2, 0.1 + 0.3j, 0.1 - 0.3j]), I)
+    assert cv.value == 0.0 and cv.err <= 1e-12, cv
+    for rep in (small_logderiv_measure(P, 1.0, I), small_logderiv_measure(P, 100.0, I),
+                large_logderiv_measure(P, 1.0, I), large_logderiv_measure(P, 0.01, I)):
+        assert rep.measure.value == 0.0 and rep.measure.err == 0.0, rep
+        assert rep.intervals == ()
 
 
 def test_sup_norm_derivative_radius_covers_a_cancelling_sum():
