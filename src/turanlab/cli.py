@@ -32,53 +32,47 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
-
-
 def _csv_cell(v) -> str:
     if isinstance(v, (dict, list, tuple)):
         return json.dumps(v, sort_keys=True)
     return _fmt(v)
 
 
-def _emit_csv(header, rows, out: str | None) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_csv_cell(v) for v in row])
-    _emit(buf.getvalue(), out)
-
-
-def _emit_report(obj: dict, args) -> None:
-    """Single-record report: JSON object, or one-row CSV when asked."""
-    if args.format == "csv":
-        keys = sorted(obj)
-        _emit_csv(keys, [[obj[k] for k in keys]], args.out)
+def _print(record, args) -> None:
+    """Print a command's record to --out or stdout: a dict as a JSON object
+    or as one CSV row with sorted columns, a (JSON object, CSV header, CSV
+    rows) triple as either part, and a string to stdout as it is."""
+    if isinstance(record, str):
+        sys.stdout.write(record)
+        return
+    if isinstance(record, dict):
+        keys = sorted(record)
+        record = record, keys, [[record[k] for k in keys]]
+    obj, header, rows = record
+    if args.format == "json":
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     else:
-        _emit_json(obj, args.out)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_csv_cell(v) for v in row] for row in rows)
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_poly(args):
-    if getattr(args, "poly", None):
+    if args.poly:
         with open(args.poly) as fh:
             return from_payload(json.load(fh))
     raise ValueError("a polynomial file is required (--poly)")
 
 
 def _interval(args) -> Interval:
-    if getattr(args, "interval", None):
-        return Interval(args.interval[0], args.interval[1])
-    return Interval()
+    return Interval(*args.interval) if args.interval else Interval()
 
 
 def _search_config(args) -> SearchConfig:
@@ -86,51 +80,35 @@ def _search_config(args) -> SearchConfig:
                         seed=args.seed)
 
 
-def _cmd_ratio(args) -> int:
-    P = _load_poly(args)
-    cv = _bounds.turan_ratio(P, _interval(args))
-    obj = {"ratio": cv.value, "err": cv.err, "method": cv.method}
-    if args.format == "csv":
-        _emit_csv(["ratio", "err", "method"],
-                  [[cv.value, cv.err, cv.method]], args.out)
-    else:
-        _emit_json(obj, args.out)
-    return 0
+def _cmd_ratio(args):
+    cv = _bounds.turan_ratio(_load_poly(args), _interval(args))
+    return ({"ratio": cv.value, "err": cv.err, "method": cv.method},
+            ["ratio", "err", "method"], [[cv.value, cv.err, cv.method]])
 
 
-def _cmd_verdict(args) -> int:
-    P = _load_poly(args)
+def _cmd_verdict(args):
     spec = ClassSpec(args.n, args.k, pin_interval_zero=args.pin)
-    v = _bounds.evaluate_verdict(P, spec)
-    rows = [[args.n, args.k, v.ratio.value, v.ratio.err, b.source, b.lower, ok]
-            for b, ok in zip(v.brackets, v.passes)]
-    if args.format == "json":
-        _emit_json({
-            "ratio": v.ratio.value, "err": v.ratio.err,
-            "brackets": [{"source": b.source, "lower": b.lower, "pass": ok}
-                         for b, ok in zip(v.brackets, v.passes)],
-        }, args.out)
-    else:
-        _emit_csv(["n", "k", "ratio", "err", "bound_source", "bound_value", "pass"],
-                  rows, args.out)
-    return 0
+    v = _bounds.evaluate_verdict(_load_poly(args), spec)
+    checks = list(zip(v.brackets, v.passes))
+    return ({"ratio": v.ratio.value, "err": v.ratio.err,
+             "brackets": [{"source": b.source, "lower": b.lower, "pass": ok}
+                          for b, ok in checks]},
+            ["n", "k", "ratio", "err", "bound_source", "bound_value", "pass"],
+            [[args.n, args.k, v.ratio.value, v.ratio.err, b.source, b.lower, ok]
+             for b, ok in checks])
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     spec = ClassSpec(args.n, args.k, pin_interval_zero=args.pin)
-    P = sample(spec, seed=args.seed)
-    _emit_report(to_payload(P), args)
-    return 0
+    return to_payload(sample(spec, seed=args.seed))
 
 
-def _cmd_lemma31(args) -> int:
+def _cmd_lemma31(args):
     Q = _load_poly(args)
-    rep = _levelsets.small_logderiv_measure(Q, args.delta, _interval(args))
-    _emit_report(rep.to_payload(), args)
-    return 0
+    return _levelsets.small_logderiv_measure(Q, args.delta, _interval(args)).to_payload()
 
 
-def _cmd_lemma32(args) -> int:
+def _cmd_lemma32(args):
     if args.zeros is not None:
         zeros = [complex(z[0], z[1]) for z in json.loads(args.zeros)]
         if args.deg is not None and args.deg != len(zeros):
@@ -139,25 +117,19 @@ def _cmd_lemma32(args) -> int:
         R = from_zeros(1.0, zeros)
     else:
         R = _load_poly(args)
-    rep = _levelsets.large_logderiv_measure(R, args.alpha, _interval(args))
-    _emit_report(rep.to_payload(), args)
-    return 0
+    return _levelsets.large_logderiv_measure(R, args.alpha, _interval(args)).to_payload()
 
 
-def _cmd_decay(args) -> int:
-    P = _load_poly(args)
-    if args.mode == "incomplete":
-        rep = _levelsets.incomplete_decay_check(P, args.n, args.k)
-    else:
-        rep = _levelsets.flipped_decay_check(P, args.n, args.k)
-    _emit_report(rep.to_payload(), args)
-    return 0
+def _cmd_decay(args):
+    check = (_levelsets.incomplete_decay_check if args.mode == "incomplete"
+             else _levelsets.flipped_decay_check)
+    return check(_load_poly(args), args.n, args.k).to_payload()
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     spec = ClassSpec(args.n, args.k, pin_interval_zero=args.pin)
     res = _search.minimize_ratio(spec, _search_config(args))
-    obj = {
+    return {
         "n": args.n, "k": args.k,
         "ratio": res.ratio.value, "err": res.ratio.err,
         "lower": res.bracket.lower,
@@ -165,65 +137,47 @@ def _cmd_search(args) -> int:
         "evals": res.evals, "restarts": args.restarts,
         "best": to_payload(res.best),
     }
-    _emit_report(obj, args)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     ns = [int(s) for s in args.n_values.split(",") if s.strip()]
     ks = [int(s) for s in args.k_values.split(",") if s.strip()]
     table = _search.frontier_sweep(ns, ks, _search_config(args), pin=args.pin)
-    if args.format == "json":
-        _emit_json({
-            "slope": table.slope,
-            "monotone_in_n": {str(k): v for k, v in table.monotone_in_n.items()},
-            "monotone_in_k": {str(n): v for n, v in table.monotone_in_k.items()},
-            "cells": [
-                {"n": r.n, "k": r.k, "error": r.error,
-                 "ratio": None if r.result is None else r.result.ratio.value}
-                for r in table.rows],
-        }, args.out)
-        return 0
     rows = []
     for r in table.rows:
-        if r.result is None:
-            rows.append([r.n, r.k, "", "", "", "", "failed", 0, 0])
-            continue
         res = r.result
-        rows.append([r.n, r.k, res.ratio.value, res.ratio.err,
-                     res.bracket.lower,
+        rows.append([r.n, r.k, "", "", "", "", "failed", 0, 0] if res is None else
+                    [r.n, r.k, res.ratio.value, res.ratio.err, res.bracket.lower,
                      "" if res.warm_best is None else res.warm_best,
                      res.within_bracket, args.restarts, res.evals])
-    _emit_csv(["n", "k", "ratio", "err", "lower_bound", "upper_construction",
-               "within_bracket", "restarts_used", "evals"], rows, args.out)
-    return 0
+    return ({"slope": table.slope,
+             "monotone_in_n": {str(k): v for k, v in table.monotone_in_n.items()},
+             "monotone_in_k": {str(n): v for n, v in table.monotone_in_k.items()},
+             "cells": [{"n": r.n, "k": r.k, "error": r.error,
+                        "ratio": None if r.result is None else r.result.ratio.value}
+                       for r in table.rows]},
+            ["n", "k", "ratio", "err", "lower_bound", "upper_construction",
+             "within_bracket", "restarts_used", "evals"], rows)
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
+    """The record; with --out, the chain files written instead, and the
+    line that names them."""
     rep = _constructions.thm24_construct(args.n, args.k, _search_config(args))
-    obj = {
-        "ratio": rep.ratio.value, "err": rep.ratio.err,
-        "member": rep.class_check.ok,
-        "details": rep.details,
-        "P": to_payload(rep.P),
-        "Q": to_payload(rep.intermediate["Q"]),
-        "R": to_payload(rep.intermediate["R"]),
-    }
+    chain = {name: to_payload(rep.intermediate.get(name, rep.P)) for name in "QRP"}
     if args.out:
-        for name in ("Q", "R", "P"):
-            poly = rep.intermediate.get(name, rep.P)
+        for name, payload in chain.items():
             with open(f"{args.out}_{name}.json", "w") as fh:
-                json.dump(to_payload(poly), fh, sort_keys=True, indent=2)
-        print(json.dumps({"written": [f"{args.out}_{s}.json" for s in "QRP"]},
-                         sort_keys=True))
-    else:
-        _emit_report(obj, args)
-    return 0
+                json.dump(payload, fh, sort_keys=True, indent=2)
+        return json.dumps({"written": [f"{args.out}_{s}.json" for s in "QRP"]},
+                          sort_keys=True) + "\n"
+    return {"ratio": rep.ratio.value, "err": rep.ratio.err,
+            "member": rep.class_check.ok, "details": rep.details, **chain}
 
 
-def _cmd_remark(args) -> int:
+def _cmd_remark(args):
     rep = _constructions.remark_family(args.epsilon, args.n)
-    obj = {
+    return {
         "epsilon": args.epsilon, "n": args.n,
         "m": rep.details["m"],
         "ratio": rep.ratio.value, "err": rep.ratio.err,
@@ -233,8 +187,6 @@ def _cmd_remark(args) -> int:
         "argmax_power": rep.details["argmax_power"],
         "closed_form": rep.details["closed_form_argmax_power"],
     }
-    _emit_report(obj, args)
-    return 0
 
 
 def _add_common(p, *, n=False, k=False, pin=False, seed=False, budget=False,
@@ -325,7 +277,8 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = args.fmt_default
     try:
-        return args.fn(args)
+        _print(args.fn(args), args)
+        return 0
     except (TuranLabError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

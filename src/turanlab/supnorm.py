@@ -137,14 +137,6 @@ def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _engine_grid(P: Polynomial, I: Interval) -> np.ndarray:
-    """The Chebyshev grid of I, without repeated points, that _sup_abs and
-    total_variation start from: max(2(d+1), min(8(d+1), 128)) cells
-    (d = deg P), so 8(d+1) up to degree 15."""
-    n = P.degree + 1
-    return np.unique(_cheb_grid(I.lo, I.hi, max(2 * n, min(8 * n, 128))))
-
-
 def _majorants(P: Polynomial, a: np.ndarray, b: np.ndarray, kmax: int, mz=None):
     """(M, [E_0, ..., E_kmax]) with |P^(k)| <= k! M E_k on each cell [a, b]:
     the Taylor coefficients of P at the midpoint m are dominated by those of
@@ -212,14 +204,6 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
                              for k in range(3)]) * (terms <= P.degree)
             out.append((c, err, tail))
     return out
-
-
-def _in_cell_blocks(test, a: np.ndarray, b: np.ndarray, degree: int) -> tuple:
-    """The per-cell arrays test(a, b) returns, computed on blocks of the
-    cells [a, b] and joined: 2^18 / d cells a block bound the (zeros x
-    cells) arrays of _series, and blocks of at least 1024 cells keep its
-    loop over the zeros from costing more than it saves."""
-    return _blockwise(test, min(64, degree // 4), a, b)
 
 
 def _square(c: np.ndarray, conj: bool = True) -> np.ndarray:
@@ -292,24 +276,45 @@ def _refine(x: np.ndarray, settle, min_width: float, degree: int):
     return a[order], b[order], record[..., order], given_up[order]
 
 
-def _settle_cheap_then_full(test, a: np.ndarray, b: np.ndarray, degree: int):
-    """(accepted, record) per cell [a, b]: accepted by test(a, b, full) with
-    the cheap _series, or else with the full one, whose record the cells it
-    took keep; test returns (accepted, record, near) per cell.
+def _cells(P: Polynomial, I: Interval, tol: float, test, join=None):
+    """The final cells of I for _sup_abs and total_variation, as (x,
+    record, given_up): x their ends, record and given_up as _refine returns
+    them.
+
+    The cells start as the Chebyshev grid of I, without repeated points, of
+    max(2(d+1), min(8(d+1), 128)) cells (d = deg P), so 8(d+1) up to degree
+    15.  test(a, b, full) runs on blocks of the cells [a, b], with the cheap
+    _series or the full one: 2^18 / d cells a block bound the (zeros x
+    cells) arrays of _series, and blocks of at least 1024 cells keep its
+    loop over the zeros from costing more than it saves.  It returns
+    (accepted, record, near) per cell, or per-cell arrays that join turns
+    into those once every block is in.
 
     A full cell costs about (d+1)/4 cheap ones, plus O(d^2) in _square; a
     bisected one, two cheap ones a round until it settles.  So a round's
     failed cells all go on to the full series only while failed (d+1) <=
     16 cells; past that only those marked near (flat cells at a maximum,
-    which bisection is slow to settle) do, and the rest are bisected.
+    which bisection is slow to settle) do, and the rest are bisected.  The
+    cells the full series takes keep its record.
     """
-    ok, record, near = test(a, b, False)
-    rest = np.flatnonzero(~ok)
-    if rest.size * (degree + 1) > 16 * a.size:
-        rest = rest[near[rest]]
-    if rest.size:
-        ok[rest], record[..., rest] = test(a[rest], b[rest], True)[:2]
-    return ok, record
+    d = P.degree
+
+    def run(a, b, full):
+        out = _blockwise(lambda a, b: test(a, b, full), min(64, d // 4), a, b)
+        return out if join is None else join(*out)
+
+    def settle(a, b):
+        ok, record, near = run(a, b, False)
+        rest = np.flatnonzero(~ok)
+        if rest.size * (d + 1) > 16 * a.size:
+            rest = rest[near[rest]]
+        if rest.size:
+            ok[rest], record[..., rest] = run(a[rest], b[rest], True)[:2]
+        return ok, record
+
+    grid = _cheb_grid(I.lo, I.hi, max(2 * d + 2, min(8 * d + 8, 128)))
+    a, _, record, given_up = _refine(np.unique(grid), settle, tol, d)
+    return np.append(a, I.hi), record, given_up
 
 
 def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
@@ -361,10 +366,8 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
             simple.append(_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2))
         return np.array(tops), np.array(simple), np.array(free)
 
-    def test(a, b, full):
+    def join(tops, simple, free):
         """(accepted, record (top, flat) per order, near) per cell."""
-        tops, simple, free = _in_cell_blocks(lambda a, b: block(a, b, full),
-                                             a, b, P.degree)
         # the flat test waits for best to take every block: a running
         # maximum would let the blocks decide which cells count as flat
         peak = np.array(best)[:, None]
@@ -374,10 +377,7 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
         return (np.all(simple | flat, axis=0), np.array([tops, flat]),
                 np.any(np.abs(free - peak) <= 1e-9 * peak, axis=0))
 
-    a, _, (tops, flat), given_up = _refine(
-        _engine_grid(P, I), lambda a, b: _settle_cheap_then_full(test, a, b, P.degree),
-        xtol, P.degree)
-    x = np.append(a, I.hi)      # the final cells tile the grid
+    x, (tops, flat), given_up = _cells(P, I, xtol, block, join)
     # what flat cells and cells given up on could hide, per order
     ceiling = np.max(tops, axis=1, where=(flat > 0) | given_up, initial=0.0)
     # the certified top of |F| on each final cell, per order; inf on the
@@ -462,7 +462,7 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
         return CertifiedValue(0.0, 0.0)
     tol = 1e-12
 
-    def block(a, b, full):
+    def test(a, b, full):
         """(accepted, record (hide, flat), near) per cell."""
         c, err, tail = _series(P, a, b, (0,), full)[0]
         c = c.real
@@ -473,13 +473,7 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
         # near: the cell would be flat but for the remainder
         return simple | flat, np.array([hide, flat]), 2.0 * s <= below
 
-    def test(a, b, full):
-        return _in_cell_blocks(lambda a, b: block(a, b, full), a, b, P.degree)
-
-    a, _, (hide, flat), given_up = _refine(
-        _engine_grid(P, I), lambda a, b: _settle_cheap_then_full(test, a, b, P.degree),
-        tol, P.degree)
-    x = np.append(a, I.hi)
+    x, (hide, flat), given_up = _cells(P, I, tol, test)
     dv = derivative_values(P, x).real
     i = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)
     roots = _narrow(lambda xs: derivative_values(P, xs).real,

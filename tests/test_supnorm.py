@@ -24,7 +24,7 @@ from turanlab import (
     turan_ratio,
 )
 from turanlab import poly, supnorm
-from turanlab.supnorm import _engine_grid, _majorants, _narrow, _series
+from turanlab.supnorm import _cheb_grid, _majorants, _narrow, _series
 
 from oracles import (
     exact_cell_series,
@@ -595,7 +595,9 @@ def test_cell_series_is_the_plain_recurrence_bit_for_bit():
     member = sample(ClassSpec(120, 20, pin_interval_zero=True), seed=3)
     for P, forms in ((_series_input(60), (False, True)), (member, (False, True)),
                      (_series_input(200), (False,))):
-        x = _engine_grid(P, Interval())
+        # the sup engine's start: max(2(d+1), min(8(d+1), 128)) Chebyshev cells
+        n = P.degree + 1
+        x = np.unique(_cheb_grid(-1.0, 1.0, max(2 * n, min(8 * n, 128))))
         a, b = x[:-1], x[1:]
         M, E = _majorants(P, a, b, 4)
         r = 0.5 * (b - a)
