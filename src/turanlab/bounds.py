@@ -50,7 +50,8 @@ class Verdict:
 
 def turan_ratio(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """||P'||_I / ||P||_I with propagated error radius; both norms come
-    from one pass of the sup engine."""
+    from one pass of the sup engine, without the leading coefficient, so
+    the ratio does not depend on it."""
     (den, den_err, _), (num, num_err, _) = _sup_abs(P, I, (0, 1))
     if den <= 0:
         raise ValueError("vanishing sup-norm denominator")

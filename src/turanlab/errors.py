@@ -14,13 +14,11 @@ class MembershipError(TuranLabError):
 
 
 class OverflowEvaluationError(TuranLabError):
-    """Raised when evaluation produces non-finite values; suggests rescaling."""
+    """Raised when a certified number, or what it is computed from, is not
+    a finite float."""
 
-    def __init__(self, what="polynomial evaluation"):
-        super().__init__(
-            f"{what} produced non-finite values; rescale the polynomial "
-            "(divide the leading coefficient) and retry"
-        )
+    def __init__(self, what="a value of P"):
+        super().__init__(f"{what} exceeds the floating-point range on the interval")
 
 
 class SearchFailure(TuranLabError):

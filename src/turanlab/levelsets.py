@@ -6,9 +6,10 @@ Lipschitz bound of s on each cell (from the distances of the zeros to it)
 decides whether the whole cell is inside or outside.  Where it cannot, a
 bound on the derivative of |s|^2 may show |s| monotone on the cell; then
 the cell's two ends classify it, or Newton steps locate the one boundary
-point in it to within _MIN_CELL.  Any other cell is split.  Poles of s at
-real zeros are cell ends, so they need no special casing.  The measure is
-the total length of the inside cells.
+point in it to within _MIN_CELL.  Poles of s at real zeros are cell ends;
+where one alone outweighs the rest of s on a cell, |s| exceeds the level
+there.  Any other cell is split.  The measure is the total length of the
+inside cells.
 """
 
 from __future__ import annotations
@@ -129,8 +130,14 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     cell ends they face.  The rest of the cell is then settled, each half
     of the piece takes the class of the cell end on its side (the crossing
     is in the piece, so no split of it errs by more than its width), and
-    the width goes into the radius.  Any other cell, as at a tangency of |s|
-    with the level, is split.  _refine returns each final cell with a code:
+    the width goes into the radius.  A real zero z0 on the ambient interval
+    is a cell end, so D2 is infinite beside it.  Where z0, of multiplicity
+    mu, is one end of a cell and no real zero the other (two poles can
+    cancel), |s| >= mu/(b - a) - (|s_rest(m)| + r D2_rest + rnd_rest) on the
+    cell, s_rest the other zeros' part of s; where that, padded for its
+    rounding, exceeds the level, the cell is out of {|s| <= level} and in
+    {|s| >= level}.  Any other cell, as at a tangency of |s| with the
+    level, is split.  _refine returns each final cell with a code:
     0 out, 1 in, 2 crossing located (the crossing step records its inside
     part and piece, as they divide the cell).  A cell narrower than
     _MIN_CELL, or live when the cells would exceed the cap, is given up on:
@@ -142,6 +149,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     inner = zs.real[(zs.real > lo) & (zs.real < hi)]
     grid = np.unique(np.concatenate([_cheb_grid(lo, hi, 8 * d + 8), inner]))
     zr, zi2 = zs.real, zs.imag ** 2
+    poles = zs.real[(zs.imag == 0) & (zs.real >= lo) & (zs.real <= hi)][:, None]
     rnd = 4.0 * (d + 1) * _EPS
     located = [np.zeros((4, 0))]    # (inside part, piece) of each crossing
     pending = []    # (a, b, in at a, s, s') of the cells to locate a crossing in
@@ -193,6 +201,18 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         inside, outside, _ = classify(s, e1)
         done = inside | outside
         code = inside.astype(np.int8)
+        if poles.size:
+            mu_a, mu_b = (poles == a).sum(0), (poles == b).sum(0)
+            k = np.flatnonzero(~done & ((mu_a > 0) != (mu_b > 0)))
+            if k.size:
+                pole = (zi2 == 0) & ((zr == a[k]) | (zr == b[k]))
+                rest = np.where(pole, 0.0, inv[:, k])
+                part = (np.abs(rest.sum(0)) + rnd * np.abs(rest).sum(0)
+                        + r[k] * np.where(pole, 0.0, w[:, k]).sum(0))
+                far = ((mu_a + mu_b)[k] / (b[k] - a[k]) * (1.0 - 4.0 * _EPS)
+                       > (part + level) * (1.0 + 2.0 * (d + 3) * _EPS))
+                done[k] = far
+                code[k] = far & (not small)
         # |Re(conj(s) s')| <= |s| |s'| can only exceed the bound if e1 < |s|
         k = np.flatnonzero(~done & (e1 < np.abs(s)))
         if not k.size:
@@ -377,6 +397,7 @@ def mean_value_window_check(P: Polynomial,
     if den == 0:
         raise ValueError("vanishing sup-norm denominator")
     M = num / den
+    den *= abs(P.leading)
     half_width = 0.5 / M if M > 0 else (I.hi - I.lo)
     window = Interval(max(I.lo, x0 - half_width), min(I.hi, x0 + half_width))
     ys = np.linspace(window.lo, window.hi, _WINDOW_SAMPLES)

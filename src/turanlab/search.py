@@ -55,7 +55,7 @@ from .poly import Interval, Polynomial, evaluate, from_zeros
 from .supnorm import (
     CertifiedValue,
     _cheb_grid,
-    _sup_abs,
+    sup_norm_derivative,
     total_variation,
 )
 
@@ -453,7 +453,7 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
             return None
         if denominator == "sup":
             return turan_ratio(Q, interval)
-        num_v, num_e, _ = _sup_abs(Q, interval, (1,))[0]
+        num = sup_norm_derivative(Q, interval)
         if denominator == "point":
             den_v = abs(evaluate(Q, 1.0))
             den_e = 16 * np.finfo(float).eps * den_v
@@ -462,7 +462,7 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
             den_v, den_e = d.value, d.err
         if den_v <= 0:
             return None
-        return _quotient(num_v, num_e, den_v, den_e)
+        return _quotient(num.value, num.err, den_v, den_e)
 
     (cert, Q, c), evals, trace = coefficient_search(
         m, k, cfg, lambda ys: parts, certify)

@@ -67,7 +67,9 @@ class CertifiedValue:
     method: ClassVar[str] = "critical-points"  # the CLI prints it
 
     def __post_init__(self):
-        if self.err < 0:
+        if not math.isfinite(self.value):
+            raise ValueError("a certified value must be finite")
+        if not self.err >= 0:
             raise ValueError("error radius must be nonnegative")
 
 
@@ -317,10 +319,13 @@ def _cells(P: Polynomial, I: Interval, tol: float, test, join=None):
     return np.append(a, I.hi), record, given_up
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow raises below
 def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
-    """[(value, err, argmax)] of max |F| on I for F = P^(o), o in orders
-    ((0,), (1,) or (0, 1)), certified in one pass; each argmax is the
-    leftmost point within rounding of its maximum.
+    """[(value, err, argmax)] of max |F| on I for F = P^(o) / leading, o in
+    orders ((0,), (1,) or (0, 1)), certified in one pass; each argmax is the
+    leftmost point within rounding of its maximum.  Without the leading
+    coefficient, a ratio of these norms does not depend on it; _absolute
+    scales a norm back.
 
     The critical points of |F| are the roots of g = (|F|^2)'.  Grid cells
     are bisected until, for every order, the Taylor series of |F|^2 on each
@@ -348,8 +353,7 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     orders = [o for o in orders if P.degree >= o]
     if not orders:
         return list(out.values())
-    scale = abs(P.leading)      # |F|^2 is formed below: keep it in range
-    P = Polynomial(P.leading / scale, P.zeros)
+    P = Polynomial(1.0, P.zeros)    # |F|^2 is formed below: keep it in range
     xtol = 1e-13 * max(1.0, I.length)
     rho = [64.0 * (P.degree - o + 1) * _EPS for o in orders]
     best = [0.0] * len(orders)
@@ -416,16 +420,28 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
         bound = vals[o] + 4.0 * (P.degree + 2) * _EPS * M * E[o]
         excess = max(float(ceiling[i]), float(np.max(bound)))
         if not (np.all(np.isfinite(vals[o])) and np.isfinite(excess)):
-            raise OverflowEvaluationError("sup-norm evaluation")
+            raise OverflowEvaluationError("the sup norm of P" + "'" * o + " / leading")
         argmax = float(np.min(pts[vals[o] >= value * (1.0 - 64.0 * _EPS)]))
-        out[o] = scale * value, scale * (rho[i] * value + excess - value), argmax
+        out[o] = value, rho[i] * value + excess - value, argmax
     return list(out.values())
+
+
+def _absolute(P: Polynomial, I: Interval, o: int) -> CertifiedValue:
+    """max |P^(o)| on I: _sup_abs scaled back by |leading| once.  The
+    rounding of |leading| and of both products, 2 eps relative or 2^-1074
+    absolute where subnormal, joins the radius."""
+    value, err, _ = _sup_abs(P, I, (o,))[0]
+    c = abs(P.leading)
+    value, err = c * value, c * err
+    err += 4.0 * _EPS * (value + err) + math.ulp(0.0)
+    if not math.isfinite(value + err):
+        raise OverflowEvaluationError("the sup norm of P" + "'" * o)
+    return CertifiedValue(value, err)
 
 
 def sup_norm(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """Certified max of |P| over I."""
-    v, e, _ = _sup_abs(P, I, (0,))[0]
-    return CertifiedValue(v, e)
+    return _absolute(P, I, 0)
 
 
 def argmax_abs(P: Polynomial, I: Interval = Interval()) -> float:
@@ -435,8 +451,7 @@ def argmax_abs(P: Polynomial, I: Interval = Interval()) -> float:
 
 def sup_norm_derivative(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """Certified max of |P'| over I, from the zero list of P."""
-    v, e, _ = _sup_abs(P, I, (1,))[0]
-    return CertifiedValue(v, e)
+    return _absolute(P, I, 1)
 
 
 def argmax_abs_derivative(P: Polynomial, I: Interval = Interval()) -> float:
@@ -444,6 +459,7 @@ def argmax_abs_derivative(P: Polynomial, I: Interval = Interval()) -> float:
     return _sup_abs(P, I, (1,))[0][2]
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow raises below
 def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """V_a^b(P) = integral of |P'|, summed exactly between critical points.
 
@@ -483,5 +499,7 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     tv = float(np.sum(np.abs(np.diff(vals))))
     md = float(np.max(np.abs(dv)))
     err = 2.0 * len(pts) * (tol * md + 16.0 * _EPS * (1.0 + float(np.max(np.abs(vals)))))
-    hidden = float(np.sum(hide[(flat > 0) | given_up]))
-    return CertifiedValue(tv, err + hidden)
+    err += float(np.sum(hide[(flat > 0) | given_up]))
+    if not math.isfinite(tv + err):
+        raise OverflowEvaluationError("the total variation")
+    return CertifiedValue(tv, err)

@@ -69,9 +69,9 @@ def test_turan_ratio_matches_grid():
 
 
 def test_turan_ratio_rejects_zero():
-    # ||P|| = 5e-324 * 0.1 on [0.4, 0.6] underflows to a zero denominator
+    # ||P|| = 0 on the one-point interval at the zero of P
     with pytest.raises(ValueError, match="vanishing sup-norm denominator"):
-        turan_ratio(from_zeros(5e-324, [0.5]), Interval(0.4, 0.6))
+        turan_ratio(from_zeros(1.0, [0.5]), Interval(0.5, 0.5))
 
 
 def test_turan_ratio_scale_invariance():

@@ -175,6 +175,34 @@ def test_non_finite_zero_is_one_line_domain_error(capsys, tmp_path, token):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_overflow_is_one_line_domain_error(capsys, tmp_path):
+    # (x - 10)^400 reaches 11^400 on [-1, 1]: a true message, and none of
+    # numpy's overflow warnings
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(to_payload(from_zeros(1.0, [10.0] * 400))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "ratio", "--poly", str(path))
+    assert code == 1 and out == ""
+    assert err == ("error: the sup norm of P / leading exceeds the "
+                   "floating-point range on the interval\n"), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--interval", "nan", "1"), "error: interval endpoints must be finite\n"),
+    (("--interval", "-1", "inf"), "error: interval endpoints must be finite\n"),
+    ((), "error: malformed polynomial payload: "),
+])
+def test_bad_interval_or_payload_is_one_line_domain_error(capsys, tmp_path, argv, message):
+    path = tmp_path / "p.json"
+    payload = {"leading": [1.0, 0.0], "zeros": [[0.5, 0.0]]}
+    path.write_text(json.dumps(payload if argv else {"leading": [1.0]}))
+    code, out, err = run(capsys, "ratio", "--poly", str(path), *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(message), err
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "--n", "2", "--k", "0"),
     ("sample", "--n", "2", "--k", "0"),

@@ -307,3 +307,20 @@ def test_small_measure_at_small_delta_matches_grid():
             assert _agrees_with_grid(rep.measure, zeros, d * delta, True), (s, delta, rep)
             nonzero += rep.measure.value > 0
     assert nonzero >= 80, nonzero
+
+
+@pytest.mark.parametrize("zeros, small, parameter", [
+    ([0.3, -0.5, 0.1 + 0.2j], True, 0.5),
+    ([0.3, -0.5, 0.1 + 0.2j], False, 3.0),
+    ([0.3, 0.3, -0.5, 0.1 + 0.2j, 0.7, 0.7], False, 3.0),
+])
+def test_cells_beside_a_real_zero_settle(monkeypatch, zeros, small, parameter):
+    # a real zero is a cell end, so D2 is infinite beside it; the pole alone
+    # bounds |s| from below there, and no cell is bisected down to _MIN_CELL
+    # (these gave up 4, 4 and 6 cells when only D2 could settle them)
+    give_ups = _refine_give_ups(monkeypatch)
+    measure = small_logderiv_measure if small else large_logderiv_measure
+    rep = measure(from_zeros(1.0, zeros), parameter)
+    assert give_ups[0].size == 0
+    level = len(zeros) * parameter if small else parameter
+    assert _agrees_with_grid(rep.measure, zeros, level, small), rep

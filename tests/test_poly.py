@@ -147,3 +147,16 @@ def test_kernel_values_do_not_depend_on_the_batch(degree):
             for i in range(0, xs.size - n + 1, n):
                 assert np.array_equal(_values(P, xs[i:i + n], order),
                                       batch[:, i:i + n]), (order, n, i)
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (-1.0, math.inf), (-math.inf, 0.0)])
+def test_interval_rejects_a_non_finite_endpoint(lo, hi):
+    with pytest.raises(ValueError, match="interval endpoints must be finite"):
+        Interval(lo, hi)
+
+
+@pytest.mark.parametrize("obj", [{"leading": [1.0]}, {"zeros": []},
+                                 {"leading": [1.0, 0.0], "zeros": [0.5]}])
+def test_malformed_payload_rejected(obj):
+    with pytest.raises(ValueError, match="malformed polynomial payload"):
+        from_payload(obj)

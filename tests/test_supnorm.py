@@ -3,14 +3,17 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from turanlab import (
+    CertifiedValue,
     ClassSpec,
     Interval,
+    OverflowEvaluationError,
     argmax_abs,
     argmax_abs_derivative,
     from_zeros,
@@ -712,3 +715,69 @@ def test_cells_go_to_the_full_series_only_where_bisection_cannot_win(monkeypatch
     cells.update({False: 0, True: 0})
     turan_ratio(_unity_power(16, 10))           # 3,198 cheap, 56 full
     assert cells[True] <= 1.25 * 56 and cells[False] <= 1.25 * 3198, cells
+
+
+def _mp_sup(lead, zeros):
+    """max |P| on [-1, 1] at 50 digits: |P|^2 = prod (x - z)(x - conj z) at
+    the ends and at the real roots of its derivative (simple roots only:
+    mpmath's polyroots does not converge on a repeated one)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        c = [mp.mpf(1)]                         # coefficients, highest first
+        for z in zeros:
+            for w in (mp.mpc(z), mp.conj(mp.mpc(z))):
+                c = [u - w * v for u, v in zip(c + [0], [0] + c)]
+        c = [mp.re(u) for u in c]
+        dc = [u * (len(c) - 1 - i) for i, u in enumerate(c[:-1])]
+        crit = [mp.re(r) for r in mp.polyroots(dc, maxsteps=200, extraprec=200)
+                if abs(mp.im(r)) < 1e-30 and -1 < mp.re(r) < 1]
+        return abs(mp.mpc(lead)) * mp.sqrt(max(mp.polyval(c, x) for x in crit + [-1, 1]))
+
+
+@pytest.mark.parametrize("lead", [5e-324, 1e-320, 1e-300, 1e300, 1e308, -3 + 4j])
+def test_extreme_leading_coefficients(lead):
+    # the ratio leaves the leading coefficient out, so it cannot lose it to
+    # underflow (1e-320 gave 1.50014 +- 0 for 1.5) or overflow (1e308 gave
+    # NaN for 0.75); a norm scales it back once, with that rounding in the
+    # radius, or raises where the norm leaves the floating-point range
+    mp = pytest.importorskip("mpmath")
+    for zeros, exact in (([0.5, 0.2], 1.5), ([3.0, 3.0, 3.0], 0.75),
+                         ([0.3 + 0.4j, -0.6, 0.9], None)):
+        cv = turan_ratio(from_zeros(lead, zeros))
+        assert cv == turan_ratio(from_zeros(1.0, zeros)), (zeros, cv)
+        assert exact is None or abs(cv.value - exact) <= cv.err, (zeros, cv)
+    for zeros in ([0.5, 0.2], [3.0, 2.9, 3.1], [0.3 + 0.4j, -0.6, 0.9]):
+        true = _mp_sup(lead, zeros)
+        try:
+            cv = sup_norm(from_zeros(lead, zeros))
+        except OverflowEvaluationError:
+            assert true > np.finfo(float).max, (zeros, true)
+            continue
+        with mp.workdps(50):
+            assert cv.value - mp.mpf(cv.err) <= true <= cv.value + mp.mpf(cv.err), (zeros, cv)
+
+
+@pytest.mark.parametrize("value, err", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, -1e-300)])
+def test_certified_value_is_finite_with_a_nonnegative_radius(value, err):
+    with pytest.raises(ValueError):
+        CertifiedValue(value, err)
+
+
+def test_overflow_raises_without_a_warning():
+    # |(x - 10)^400| reaches 11^400 on [-1, 1]; no leading coefficient can
+    # bring the monic P back into range for the engine
+    P = from_zeros(1.0, [10.0] * 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (turan_ratio, sup_norm, sup_norm_derivative, total_variation):
+            with pytest.raises(OverflowEvaluationError,
+                               match="exceeds the floating-point range on the interval"):
+                f(P)
+        with pytest.raises(OverflowEvaluationError, match="the sup norm of P exceeds"):
+            sup_norm(from_zeros(1e308, [3.0, 3.0, 3.0]))
+
+
+def test_total_variation_rejects_a_non_real_polynomial():
+    with pytest.raises(ValueError, match="requires a real-valued polynomial"):
+        total_variation(from_zeros(1.0, [0.5j]))
