@@ -24,18 +24,14 @@ from .poly import Interval, from_payload, from_zeros, to_payload
 from .search import SearchConfig
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _csv_cell(v) -> str:
     if isinstance(v, (dict, list, tuple)):
         return json.dumps(v, sort_keys=True)
-    return _fmt(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
 
 
 def _print(record, args) -> None:

@@ -428,8 +428,8 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
 
 def _absolute(P: Polynomial, I: Interval, o: int) -> CertifiedValue:
     """max |P^(o)| on I: _sup_abs scaled back by |leading| once.  The
-    rounding of |leading| and of both products, 2 eps relative or 2^-1074
-    absolute where subnormal, joins the radius."""
+    rounding of |leading| and of both products (2 eps relative, padded to
+    4 eps, or 2^-1074 absolute where subnormal) joins the radius."""
     value, err, _ = _sup_abs(P, I, (o,))[0]
     c = abs(P.leading)
     value, err = c * value, c * err
