@@ -20,7 +20,7 @@ from . import levelsets as _levelsets
 from . import search as _search
 from .classes import ClassSpec, sample
 from .errors import TuranLabError
-from .poly import Interval, from_payload, from_zeros, to_payload
+from .poly import Interval, from_payload, to_payload
 from .search import SearchConfig
 
 
@@ -106,11 +106,9 @@ def _cmd_lemma31(args):
 
 def _cmd_lemma32(args):
     if args.zeros is not None:
-        zeros = [complex(z[0], z[1]) for z in json.loads(args.zeros)]
-        if args.deg is not None and args.deg != len(zeros):
-            raise ValueError(f"--deg {args.deg} does not match "
-                             f"{len(zeros)} zeros")
-        R = from_zeros(1.0, zeros)
+        R = from_payload({"leading": [1, 0], "zeros": json.loads(args.zeros)})
+        if args.deg is not None and args.deg != R.degree:
+            raise ValueError(f"--deg {args.deg} does not match {R.degree} zeros")
     else:
         R = _load_poly(args)
     return _levelsets.large_logderiv_measure(R, args.alpha, _interval(args)).to_payload()
@@ -275,7 +273,7 @@ def main(argv=None) -> int:
     try:
         _print(args.fn(args), args)
         return 0
-    except (TuranLabError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TuranLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classes import ClassSpec, _zeros_at, is_member
-from .errors import MembershipError
-from .poly import Interval, Polynomial, _blockwise, _values, evaluate_many, from_zeros
+from .errors import MembershipError, OverflowEvaluationError
+from .poly import Interval, Polynomial, _blockwise, evaluate_many, from_zeros
 from .supnorm import (
     _EPS,
     CertifiedValue,
@@ -147,9 +147,13 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     zs = np.asarray(P.zeros, dtype=complex)[:, None]
     d = zs.size
     inner = zs.real[(zs.real > lo) & (zs.real < hi)]
-    grid = np.unique(np.concatenate([_cheb_grid(lo, hi, 8 * d + 8), inner]))
     zr, zi2 = zs.real, zs.imag ** 2
     poles = zs.real[(zs.imag == 0) & (zs.real >= lo) & (zs.real <= hi)][:, None]
+    # an inner Chebyshev point within rounding of a real zero would leave
+    # beside it a sliver that no test settles: the zero takes its place
+    cheb = _cheb_grid(lo, hi, 8 * d + 8)[1:-1]
+    cheb = cheb[np.all(np.abs(cheb - poles) > 4.0 * _EPS * max(abs(lo), abs(hi)), axis=0)]
+    grid = np.unique(np.concatenate([[lo, hi], cheb, inner]))
     rnd = 4.0 * (d + 1) * _EPS
     located = [np.zeros((4, 0))]    # (inside part, piece) of each crossing
     pending = []    # (a, b, in at a, s, s') of the cells to locate a crossing in
@@ -360,23 +364,26 @@ def flipped_decay_check(W: Polynomial, n: int, k: int) -> FlippedDecayReport:
     """Check sup of |y^(1/2) W(y)| over [10(2k+1)/n, 1] < sup over [0, 1].
 
     W must factor as (1-x)^(n-k) * V with deg V <= k and 1 <= k <= n/2.
-    Both sups are taken through the auxiliary polynomial x * W(x)^2, whose
-    absolute value on [0,1] is the square of the target quantity.
+    Both sups come from the monic x * (W(x) / leading)^2, whose modulus on
+    [0,1] is the square of the target over |leading|^2; they are compared
+    on that scale and reported as square roots times |leading|.
     """
     if not (1 <= k and 2 * k <= n):
         raise ValueError(f"needs 1 <= k <= n/2, got n={n}, k={k}")
     if W.degree > n or _zeros_at(W, 1.0) < n - k:
         raise MembershipError(
             f"shape mismatch: need degree <= {n} with >= {n - k} zeros at 1")
-    aux = from_zeros(W.leading ** 2, W.zeros + W.zeros + (0.0,))
+    aux = from_zeros(1.0, W.zeros + W.zeros + (0.0,))
     y0 = 10.0 * (2 * k + 1) / n
     degenerate = y0 >= 1.0
     lo = min(y0, 1.0)
     full = sup_norm(aux, Interval(0.0, 1.0))
     restricted = sup_norm(aux, Interval(lo, 1.0))
-    r = math.sqrt(max(restricted.value, 0.0))
-    f = math.sqrt(max(full.value, 0.0))
-    satisfied = r + restricted.err < f - full.err
+    satisfied = restricted.value + restricted.err < full.value - full.err
+    c = abs(W.leading)
+    r, f = c * math.sqrt(restricted.value), c * math.sqrt(full.value)
+    if not (math.isfinite(r) and math.isfinite(f)):
+        raise OverflowEvaluationError("the sup of |y^(1/2) W(y)|")
     return FlippedDecayReport(r, f, degenerate, satisfied)
 
 
@@ -407,9 +414,12 @@ def mean_value_window_check(P: Polynomial,
 
 
 def logderiv_values(P: Polynomial, xs) -> np.ndarray:
-    """|P'/P| at sample points (inf where P vanishes)."""
-    v, dv = _values(P, xs, 1)
+    """|P'/P| = |sum 1/(x - z_i)| at sample points (inf where P vanishes),
+    finite wherever P is nonzero, however small or large P is there."""
+    zs = np.asarray(P.zeros, dtype=complex)[:, None]
+    x = np.asarray(xs, dtype=complex).ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.abs(dv) / np.abs(v)
+        s = _blockwise(lambda x: (np.sum(1.0 / (x - zs), axis=0),), zs.size, x)[0]
+    out = np.abs(s)
     out[~np.isfinite(out)] = np.inf
     return out

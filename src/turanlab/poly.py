@@ -183,9 +183,16 @@ def to_payload(P: Polynomial) -> dict:
 
 
 def from_payload(obj: dict) -> Polynomial:
+    """The inverse of to_payload: the leading coefficient and every zero
+    must be an [re, im] list of two numbers."""
+    def pair(v) -> complex:
+        # complex() would take JSON true and false as 1 and 0
+        if not (isinstance(v, list) and len(v) == 2) or bool in map(type, v):
+            raise TypeError(f"expected an [re, im] pair, got {v!r}")
+        return complex(v[0], v[1])
     try:
-        lead = complex(obj["leading"][0], obj["leading"][1])
-        zeros = tuple(complex(z[0], z[1]) for z in obj["zeros"])
-    except (KeyError, TypeError, IndexError) as exc:
+        lead = pair(obj["leading"])
+        zeros = tuple(pair(z) for z in obj["zeros"])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial payload: {exc}") from exc
     return Polynomial(lead, zeros)

@@ -87,10 +87,9 @@ def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
     f(c, which) then gives the value of each point's own function.
 
     Illinois steps (false position, halving the value kept at the same end
-    twice in a row) run in lockstep over all brackets; a bracket that has
-    not halved within three steps bisects next.  Regula falsi closes in on
-    a root from one side, so once the estimate has settled, a second probe
-    just past it closes the bracket instead of the slow far end.
+    twice in a row) run in lockstep over all brackets; a bracket bisects
+    instead when it has not halved within three steps or the estimate
+    falls outside it.
     """
     kept = np.zeros(a.size, dtype=int)     # -1: a kept last step, +1: b kept
     ref, age = b - a, np.zeros(a.size, dtype=int)
@@ -104,18 +103,7 @@ def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
             c = (A * FB - B * FA) / (FB - FA)
         bisect = (age[live] >= 3) | ~((c > A) & (c < B))
         c = np.where(bisect, 0.5 * (A + B), c)
-        # once the estimate lands within 1e3 xtol of a bracket end (the one
-        # it set last step; the superlinear steps make its error below
-        # xtol/2 by then), a second probe xtol/2 past it, on the side the
-        # root has kept to, closes the bracket at once (on a first step
-        # K = 0 puts that probe on c, where it changes nothing)
-        near = np.flatnonzero(np.minimum(c - A, B - c) <= 1e3 * xtol)
-        pts, k = c, live
-        if near.size:
-            pts = np.concatenate([c, c[near] + 0.5 * xtol * K[near]])
-            k = np.concatenate([live, live[near]])
-        fp = f(pts) if which is None else f(pts, which[k])
-        fc = fp[:live.size]
+        fc = f(c) if which is None else f(c, which[live])
         right = np.sign(fc) == np.sign(FA)          # root in [c, B]
         hit = fc == 0
         FB = np.where(right & (K == 1), 0.5 * FB, FB)
@@ -125,13 +113,6 @@ def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
         fa[live] = np.where(right, fc, FA)
         fb[live] = np.where(right, FB, fc)
         kept[live] = np.where(right, 1, -1)
-        if near.size:
-            j, c2, f2 = live[near], pts[live.size:], fp[live.size:]
-            inside = (a[j] < c2) & (c2 < b[j])
-            up = inside & (np.sign(f2) == np.sign(fa[j]))      # root in [c2, b]
-            down = inside & ~up
-            a[j], fa[j] = np.where(up, c2, a[j]), np.where(up, f2, fa[j])
-            b[j], fb[j] = np.where(down, c2, b[j]), np.where(down, f2, fb[j])
         w = b[live] - a[live]
         reset = bisect | (w <= 0.5 * ref[live])
         ref[live] = np.where(reset, w, ref[live])
@@ -389,10 +370,10 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     cell_top = np.where(given_up, np.inf, tops)
 
     # the sign changes of h = 2 Re(conj(F) F') for every F, labelled by order
-    def h(xs, o=None):          # o = None: the highest order
+    def h(xs, o):
         v = _values(P, xs, orders[-1] + 1)
         hv = 2.0 * (np.conj(v[:-1]) * v[1:]).real
-        return hv[-1] if o is None else hv[o, np.arange(xs.size)]
+        return hv[o, np.arange(xs.size)]
 
     # the final points' majorants (|P^(o)| <= M E_o on [x - xtol, x + xtol])
     # come from the differences of the value pass
@@ -406,7 +387,7 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     row, cell = np.nonzero((sx[:, :-1] * sx[:, 1:] < 0) & ~low)
     which = np.asarray(orders)[row]
     roots = _narrow(h, x[cell], x[cell + 1], hx[which, cell], hx[which, cell + 1],
-                    xtol, which if len(orders) > 1 else None)
+                    xtol, which)
     # every order takes its maximum over all these points (more points can
     # only raise it); the rounding bound of each value joins the radius, as
     # P' = P * sum 1/(x - z_i) can cancel

@@ -203,6 +203,14 @@ def test_bad_interval_or_payload_is_one_line_domain_error(capsys, tmp_path, argv
     assert err.count("\n") == 1 and err.startswith(message), err
 
 
+@pytest.mark.parametrize("zeros", ['[[1]]', '{"a":1}', '5', '[["a",0]]', '[[1,0,0]]'])
+def test_malformed_inline_zeros_is_one_line_domain_error(capsys, zeros):
+    # --zeros is read as the zero list of a payload, and checked as one
+    code, out, err = run(capsys, "lemma32", "--alpha", "3", "--zeros", zeros)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: malformed polynomial payload: "), err
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "--n", "2", "--k", "0"),
     ("sample", "--n", "2", "--k", "0"),
@@ -308,6 +316,19 @@ def test_decay_flipped(capsys, tmp_path):
     assert rep["full_sup"] == pytest.approx(float(np.max(weighted)), rel=1e-6)
     assert rep["restricted_sup"] == pytest.approx(
         math.sqrt(0.75) * 0.25 ** 39 * 0.55, rel=1e-9)
+    assert (rep["degenerate"], rep["satisfied"]) == (False, True)
+
+
+def test_decay_flipped_at_a_huge_leading_coefficient(capsys, tmp_path):
+    # W^2 would overflow at leading 1e200; the check squares only W / leading
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(to_payload(from_zeros(1e200, [1.0] * 39 + [0.2]))))
+    code, out, err = run(capsys, "decay", "--poly", str(path),
+                         "--n", "40", "--k", "1", "--mode", "flipped")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["restricted_sup"] == pytest.approx(
+        1e200 * math.sqrt(0.75) * 0.25 ** 39 * 0.55, rel=1e-9)
     assert (rep["degenerate"], rep["satisfied"]) == (False, True)
 
 

@@ -195,6 +195,15 @@ def test_logderiv_values_infinite_at_zeros():
     assert vals[1] == pytest.approx(abs(1.0 / -0.5))
 
 
+def test_logderiv_values_at_high_degree():
+    # |P| underflows or overflows at these points, but |P'/P| is finite
+    vals = logderiv_values(from_zeros(1.0, [0.5j] * 1200), np.array([0.0, 0.3]))
+    assert vals[0] == 2400.0
+    assert vals[1] == pytest.approx(1200.0 / abs(0.3 - 0.5j), rel=1e-13)
+    vals = logderiv_values(from_zeros(1.0, [3.0] * 800), np.array([0.0, -1.0]))
+    assert vals == pytest.approx([800.0 / 3.0, 200.0], rel=1e-13)
+
+
 def test_incomplete_decay_monomial():
     # S = x^(n-k): |x|^m <= x^(m/2) holds on [0,1]
     S = from_zeros(1.0, [0.0] * 11)
@@ -231,6 +240,18 @@ def test_flipped_decay_basic():
 def test_flipped_decay_degenerate_window():
     rep = flipped_decay_check(from_zeros(-1.0, [1.0]), 2, 1)
     assert rep.degenerate or rep.satisfied
+
+
+@pytest.mark.parametrize("n, zeros", [(20, [1.0] * 19), (40, [1.0] * 39 + [0.2])])
+def test_flipped_decay_scales_with_the_leading_coefficient(n, zeros):
+    # the decision is taken on the monic x (W / leading)^2 alone, so it does
+    # not move with the leading coefficient, and the sups scale by its modulus
+    ref = flipped_decay_check(from_zeros(1.0, zeros), n, 1)
+    for c in (1e-150, 1.0, 1e200, -3 + 4j):
+        rep = flipped_decay_check(from_zeros(c, zeros), n, 1)
+        assert (rep.satisfied, rep.degenerate) == (ref.satisfied, ref.degenerate)
+        assert rep.restricted_sup == pytest.approx(abs(c) * ref.restricted_sup, rel=1e-14)
+        assert rep.full_sup == pytest.approx(abs(c) * ref.full_sup, rel=1e-14)
 
 
 def test_flipped_decay_regime():
@@ -313,6 +334,11 @@ def test_small_measure_at_small_delta_matches_grid():
     ([0.3, -0.5, 0.1 + 0.2j], True, 0.5),
     ([0.3, -0.5, 0.1 + 0.2j], False, 3.0),
     ([0.3, 0.3, -0.5, 0.1 + 0.2j, 0.7, 0.7], False, 3.0),
+    # a real zero at 0, where the grid's middle Chebyshev point lies within
+    # rounding of it (each gave up the one cell beside that sliver)
+    ([0.0], False, 4.0),
+    ([1.0, -1.0, 0.0], False, 30.0),
+    ([0.0, 0.5j], True, 2.0),
 ])
 def test_cells_beside_a_real_zero_settle(monkeypatch, zeros, small, parameter):
     # a real zero is a cell end, so D2 is infinite beside it; the pole alone
