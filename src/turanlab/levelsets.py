@@ -15,7 +15,7 @@ inside cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,12 +53,9 @@ class LevelSetReport:
     intervals: tuple
 
     def to_payload(self) -> dict:
-        return {
+        return asdict(self) | {
             "measure": self.measure.value,
             "err": self.measure.err,
-            "bound": self.bound,
-            "parameter": self.parameter,
-            "satisfied": self.satisfied,
             "intervals": [[iv.lo, iv.hi] for iv in self.intervals],
         }
 
@@ -72,13 +69,8 @@ class DecayReport:
     samples: int
 
     def to_payload(self) -> dict:
-        return {
-            "max_violation": self.max_violation,
-            "interval": None if self.interval is None else [self.interval.lo, self.interval.hi],
-            "vacuous": self.vacuous,
-            "satisfied": self.satisfied,
-            "samples": self.samples,
-        }
+        iv = self.interval
+        return asdict(self) | {"interval": None if iv is None else [iv.lo, iv.hi]}
 
 
 @dataclass(frozen=True)
@@ -89,12 +81,7 @@ class FlippedDecayReport:
     satisfied: bool
 
     def to_payload(self) -> dict:
-        return {
-            "restricted_sup": self.restricted_sup,
-            "full_sup": self.full_sup,
-            "degenerate": self.degenerate,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
@@ -327,12 +314,8 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    k = R.degree
-    if k == 0:
-        measure = CertifiedValue(0.0, 0.0)
-        return LevelSetReport(measure, 0.0, alpha, True, ())
     measure, intervals = _level_set(R, alpha, False, ambient)
-    bound = LARGE_SET_CONSTANT * k / alpha
+    bound = LARGE_SET_CONSTANT * R.degree / alpha
     satisfied = measure.value - measure.err <= bound
     return LevelSetReport(measure, bound, alpha, satisfied, intervals)
 

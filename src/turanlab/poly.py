@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_EPS = float(np.finfo(float).eps)
+
 # The (zeros x points) arrays of factored evaluation, and every other array
 # that pairs each zero with a batch of points or cells, are built a block of
 # points at a time, each of about this many entries (1 MiB when complex), so
@@ -101,6 +103,29 @@ def _blockwise(fn, width: int, *cols) -> tuple:
     return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
 
 
+def _majorants(P: Polynomial, r, mz: np.ndarray, kmax: int):
+    """(M, [E_0, ..., E_kmax]) with |P^(k)| <= k! M E_k on each cell
+    [m - r, m + r], given the differences mz = m - z_i (zeros x cells): the
+    Taylor coefficients of P at m are dominated by those of
+    M(rho) = |c| prod(|m - z_i| + rho), so M = M(r) and
+    E_k = e_k(1/(|m - z_i| + r)), from power sums by Newton's identities,
+    padded by their rounding."""
+    # in place: at high degree each (zeros x cells) array is megabytes
+    w = np.abs(mz)
+    M = abs(P.leading) * np.prod(np.add(w, r, out=w), axis=0)
+    inv = np.divide(1.0, w, out=w)
+    # the power sums start from inv itself; its square is the one more array
+    p, pw = [np.sum(inv, axis=0)], inv
+    for k in range(1, kmax):
+        pw = pw * inv if k == 1 else np.multiply(pw, inv, out=pw)
+        p.append(np.sum(pw, axis=0))
+    E = [np.ones_like(M)]
+    for k in range(1, kmax + 1):
+        e = sum((-1) ** (j - 1) * E[k - j] * p[j - 1] for j in range(1, k + 1)) / k
+        E.append(np.maximum(e, 0.0) + 4.0 * k * _EPS * p[0] ** k)
+    return M, E
+
+
 def _values(P: Polynomial, xs, order: int, w: float | None = None):
     """Rows P, P', ..., P^(order) (order <= 2) at the points xs (1-D), from
     the zero list.
@@ -110,10 +135,8 @@ def _values(P: Polynomial, xs, order: int, w: float | None = None):
     and P^(j)(x0) = j!/(j - mu)! * R^(j - mu)(x0), with R and its derivatives
     taken from the same sums over the remaining zeros: O(d) per point.
 
-    Given a widening w, it returns (rows, M, p1) instead, with
-    M = |c| prod(|x - z_i| + w) and p1 = sum 1/(|x - z_i| + w) from the same
-    differences: supnorm._majorants on the cells [x - w, x + w], p1 before
-    its rounding pad.
+    Given a widening w, it returns (rows, M, E_1) instead: the _majorants
+    of the cells [x - w, x + w], from the same differences.
     """
     x = np.asarray(xs, dtype=complex).ravel()
     out = np.zeros((order + 1, x.size), dtype=complex)
@@ -130,10 +153,8 @@ def _values(P: Polynomial, xs, order: int, w: float | None = None):
         # it gets in any batch
         diffs = (np.repeat(xc, 2) if n == 1 else xc)[None, :] - zs[:, None]
         if w is not None:
-            dist = np.abs(diffs)
-            dist += w
-            maj[0, sl] = (abs(P.leading) * np.prod(dist, axis=0))[:n]
-            maj[1, sl] = np.sum(np.divide(1.0, dist, out=dist), axis=0)[:n]
+            M, E = _majorants(P, w, diffs, 1)
+            maj[:, sl] = M[:n], E[1][:n]
         if order == 0:
             out[0, sl] = (P.leading * np.prod(diffs, axis=0))[:n]
             continue

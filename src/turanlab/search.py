@@ -154,7 +154,7 @@ def _warm_param_starts(spec: ClassSpec) -> list:
                 p[2 * i] = 1.0
                 p[2 * i + 1] = 0.0 if sign > 0 else math.pi
             else:
-                p[2 * i] = math.atanh(min(max(sign / 3.0, -0.999), 0.999))
+                p[2 * i] = math.atanh(sign / 3.0)
                 p[2 * i + 1] = 0.0
         starts.append(p)
     return starts
@@ -409,8 +409,7 @@ def coefficient_search(m: int, k: int, cfg: SearchConfig, estimate, certify):
         if top.size == 0:
             return None
         s = c[: top[-1] + 1]
-        roots = (np.polynomial.polynomial.polyroots(s)
-                 if s.size > 1 else np.zeros(0))
+        roots = np.polynomial.polynomial.polyroots(s)
         Q = from_zeros(s[-1], tuple(np.zeros(m + 1)) + tuple(roots))
         if Q.zeros not in certs:
             certs[Q.zeros] = certify(Q)

@@ -41,15 +41,15 @@ import numpy as np
 
 from .errors import OverflowEvaluationError
 from .poly import (
+    _EPS,
     Interval,
     Polynomial,
     _blockwise,
+    _majorants,
     _values,
     derivative_values,
     evaluate_many,
 )
-
-_EPS = float(np.finfo(float).eps)
 
 # _refine gives up on every live cell once the live cells times the degree
 # would pass this many (it keeps at least 16(d+1) cells): a bound on the work
@@ -120,31 +120,6 @@ def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _majorants(P: Polynomial, a: np.ndarray, b: np.ndarray, kmax: int, mz=None):
-    """(M, [E_0, ..., E_kmax]) with |P^(k)| <= k! M E_k on each cell [a, b]:
-    the Taylor coefficients of P at the midpoint m are dominated by those of
-    M(rho) = |c| prod(|m - z_i| + rho), so with r the half-width,
-    M = M(r) and E_k = e_k(1/(|m - z_i| + r)), from power sums by Newton's
-    identities, padded by their rounding; mz, if given, is the m - z_i."""
-    m, r = 0.5 * (a + b), 0.5 * (b - a)
-    if mz is None:
-        mz = m[None, :] - np.asarray(P.zeros, dtype=complex)[:, None]
-    # in place: at high degree each (zeros x cells) array is megabytes
-    w = np.abs(mz)
-    M = abs(P.leading) * np.prod(np.add(w, r, out=w), axis=0)
-    inv = np.divide(1.0, w, out=w)
-    # the power sums start from inv itself; its square is the one more array
-    p, pw = [np.sum(inv, axis=0)], inv
-    for k in range(1, kmax):
-        pw = pw * inv if k == 1 else np.multiply(pw, inv, out=pw)
-        p.append(np.sum(pw, axis=0))
-    E = [np.ones_like(m)]
-    for k in range(1, kmax + 1):
-        e = sum((-1) ** (j - 1) * E[k - j] * p[j - 1] for j in range(1, k + 1)) / k
-        E.append(np.maximum(e, 0.0) + 4.0 * k * _EPS * p[0] ** k)
-    return M, E
-
-
 def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
     """[(f, err, tail) for F = P^(o), o in the ascending orders] on the
     cells [a, b], x = m + r tau.
@@ -164,7 +139,7 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
     """
     m, r = 0.5 * (a + b), 0.5 * (b - a)
     mz = m[None, :] - np.asarray(P.zeros, dtype=complex)[:, None]
-    M, E = _majorants(P, a, b, 4, mz)
+    M, E = _majorants(P, r, mz, 4)
     terms = P.degree + 1 if full else min(P.degree + 1, 4)
     buf, nxt, tmp = np.zeros((3, terms + 1, m.size), dtype=complex)
     buf[1] = P.leading
@@ -189,12 +164,11 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
     return out
 
 
-def _square(c: np.ndarray, conj: bool = True) -> np.ndarray:
-    """Row-wise coefficients of |sum c_j tau^j|^2 for real tau (or of the
-    square when conj is False, as for a majorant)."""
+def _square(c: np.ndarray) -> np.ndarray:
+    """Row-wise coefficients of |sum c_j tau^j|^2 for real tau."""
     n = c.shape[1]
     q = np.zeros((c.shape[0], 2 * n - 1), dtype=c.dtype)
-    cc = np.conj(c) if conj else c
+    cc = np.conj(c)
     for i in range(n):
         q[:, i:i + n] += c[:, i:i + 1] * cc
     return q.real
@@ -205,8 +179,8 @@ def _modulus_square(f: np.ndarray, err: np.ndarray, tail: np.ndarray):
     the coefficients of |S|^2, their rounding bounds, and bounds on the
     k-th tau-derivatives (k = 0, 1, 2) of |F|^2 - |S|^2 on [-1, 1]."""
     fa = np.abs(f) + err
-    qa = _square(fa, conj=False)
-    qerr = qa - _square(np.abs(f), conj=False) + 2.0 * f.shape[1] * _EPS * qa
+    qa, q0 = np.split(_square(np.vstack([fa, np.abs(f)])), 2)
+    qerr = qa - q0 + 2.0 * f.shape[1] * _EPS * qa
     j = np.arange(f.shape[1])
     s0, s1, s2 = fa.sum(axis=1), fa @ j, fa @ (j * (j - 1))
     t0, t1, t2 = tail
@@ -377,7 +351,7 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
 
     # the final points' majorants (|P^(o)| <= M E_o on [x - xtol, x + xtol])
     # come from the differences of the value pass
-    v, M, p1 = _values(P, x, orders[-1] + 1, xtol)
+    v, M, E1 = _values(P, x, orders[-1] + 1, xtol)
     hx = 2.0 * (np.conj(v[:-1]) * v[1:]).real
     sx = np.sign(hx[orders])
     # only roots in cells whose top reaches the largest |F| over the cell
@@ -392,10 +366,9 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     # only raise it); the rounding bound of each value joins the radius, as
     # P' = P * sum 1/(x - z_i) can cancel
     pts = np.concatenate([x, roots])
-    vr, Mr, p1r = _values(P, roots, orders[-1], xtol)
+    vr, Mr, E1r = _values(P, roots, orders[-1], xtol)
     vals = np.abs(np.hstack([v[:-1], vr]))
-    M, p1 = np.concatenate([M, Mr]), np.concatenate([p1, p1r])
-    E = (1.0, p1 + 4.0 * _EPS * p1)     # padded as in _majorants
+    M, E = np.concatenate([M, Mr]), (1.0, np.concatenate([E1, E1r]))
     for i, o in enumerate(orders):
         value = float(np.max(vals[o]))
         bound = vals[o] + 4.0 * (P.degree + 2) * _EPS * M * E[o]

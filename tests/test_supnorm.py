@@ -602,7 +602,7 @@ def test_cell_series_is_the_plain_recurrence_bit_for_bit():
         n = P.degree + 1
         x = np.unique(_cheb_grid(-1.0, 1.0, max(2 * n, min(8 * n, 128))))
         a, b = x[:-1], x[1:]
-        M, E = _majorants(P, a, b, 4)
+        M, E = _majorants(P, 0.5 * (b - a), 0.5 * (a + b) - np.array(P.zeros)[:, None], 4)
         r = 0.5 * (b - a)
         for full in forms:
             f, err, _ = _series(P, a, b, (0,), full)[0]
