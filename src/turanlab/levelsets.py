@@ -142,7 +142,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     cheb = cheb[np.all(np.abs(cheb - poles) > 4.0 * _EPS * max(abs(lo), abs(hi)), axis=0)]
     grid = np.unique(np.concatenate([[lo, hi], cheb, inner]))
     rnd = 4.0 * (d + 1) * _EPS
-    located = [np.zeros((4, 0))]    # (inside part, piece) of each crossing
+    located = [np.zeros((4, 0))]    # (inside part, piece width, spare) per crossing
     pending = []    # (a, b, in at a, s, s') of the cells to locate a crossing in
 
     def classify(s, slack):
@@ -255,9 +255,9 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         ins, outs, _ = point(np.concatenate([pl, pr]))
         n = a.size
         ok = np.where(ina, ins[:n] & outs[n:], outs[:n] & ins[n:])
-        a, b, x, ina = a[ok], b[ok], x[ok], ina[ok]
+        a, b, x, ina, pl, pr = a[ok], b[ok], x[ok], ina[ok], pl[ok], pr[ok]
         located.append(np.array([np.where(ina, a, x), np.where(ina, x, b),
-                                 pl[ok], pr[ok]]))
+                                 pr - pl, np.minimum(x - pl, pr - x)]))
         return ok
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -275,8 +275,17 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
             intervals[-1][1] = x1
         else:
             intervals.append([x0, x1])
-    widths = np.concatenate([located[3] - located[2], (b - a)[given_up]])
-    measure = CertifiedValue(float(np.sum(cells[1] - cells[0])), float(np.sum(widths)))
+    widths = np.concatenate([located[2], (b - a)[given_up]])
+    value = float(np.sum(cells[1] - cells[0]))
+    # the differences and their sum round: fsum gives the exact total of the
+    # cell ends less value, rounded to nearest, and the 4 eps pad covers that.
+    # A crossing's piece [pl, pr] holds its located point x, so the piece's
+    # width overstates its error by min(x - pl, pr - x); half of that spare,
+    # a margin far above the rounding of those differences, offsets the slip
+    slip = abs(math.fsum(np.concatenate([cells[1], -cells[0], [-value]]).tolist()))
+    spare = 0.5 * float(np.sum(located[3]))
+    measure = CertifiedValue(value, float(np.sum(widths))
+                             + max(slip * (1.0 + 4.0 * _EPS) - spare, 0.0))
     return measure, tuple(Interval(x0, x1) for x0, x1 in intervals)
 
 
@@ -382,18 +391,22 @@ class MeanValueReport:
 def mean_value_window_check(P: Polynomial,
                             I: Interval = Interval()) -> MeanValueReport:
     """Around a maximizer x0 of |P|, check |P(y)| >= ||P||/2 for
-    |y - x0| <= 1/(2M) with M = ||P'||/||P||."""
+    |y - x0| <= 1/(2M) with M = ||P'||/||P||, decided on the monic P / leading
+    as flipped_decay_check is; min_abs and half_norm scale by |leading|."""
     (den, _, x0), (num, _, _) = _sup_abs(P, I, (0, 1))
     if den == 0:
         raise ValueError("vanishing sup-norm denominator")
     M = num / den
-    den *= abs(P.leading)
     half_width = 0.5 / M if M > 0 else (I.hi - I.lo)
     window = Interval(max(I.lo, x0 - half_width), min(I.hi, x0 + half_width))
     ys = np.linspace(window.lo, window.hi, _WINDOW_SAMPLES)
-    min_abs = float(np.min(np.abs(evaluate_many(P, ys))))
+    min_abs = float(np.min(np.abs(evaluate_many(from_zeros(1.0, P.zeros), ys))))
     ok = min_abs >= 0.5 * den - 1e-9 * (1.0 + den)
-    return MeanValueReport(M, window, min_abs, 0.5 * den, ok)
+    c = abs(P.leading)
+    min_abs, half_norm = c * min_abs, c * 0.5 * den
+    if not (math.isfinite(min_abs) and math.isfinite(half_norm)):
+        raise OverflowEvaluationError("the sup norm of P")
+    return MeanValueReport(M, window, min_abs, half_norm, ok)
 
 
 def logderiv_values(P: Polynomial, xs) -> np.ndarray:

@@ -162,6 +162,12 @@ def test_missing_poly_file_is_domain_error(capsys):
     assert "error:" in err
 
 
+def test_ratio_without_poly_is_one_line_domain_error(capsys):
+    code, out, err = run(capsys, "ratio")
+    assert code == 1 and out == ""
+    assert err == "error: a polynomial file is required (--poly)\n"
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])
 def test_non_finite_zero_is_one_line_domain_error(capsys, tmp_path, token):
     path = tmp_path / "bad.json"

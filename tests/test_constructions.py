@@ -44,6 +44,14 @@ def test_thm24_membership_and_details():
     assert rep.details["confinement"] in ("vacuous", "inside", "outside")
 
 
+def test_thm24_confinement_inside_once_the_window_is_not_vacuous():
+    # 10(2k + 1) = 30 < n = 60: |P'| peaks at 0.0917, inside sqrt(1/2)
+    rep = thm24_construct(60, 1, SearchConfig(budget=200, restarts=1, seed=1))
+    assert rep.details["confinement"] == "inside"
+    assert rep.details["confinement_bound"] == pytest.approx(math.sqrt(0.5))
+    assert rep.details["derivative_argmax"] == pytest.approx(0.0917, abs=1e-4)
+
+
 def test_thm24_k2_matches_weighted_scan_oracle():
     # Q must minimize the ratio of P, not ||Q'||/||Q||: the dense phi scan
     # of the exact weighted expression gives the minimum over the family

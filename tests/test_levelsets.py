@@ -1,13 +1,17 @@
 """Level sets of the logarithmic derivative and pointwise decay checks."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from turanlab import (
     LARGE_SET_CONSTANT,
+    Interval,
     MembershipError,
+    OverflowEvaluationError,
     SMALL_SET_CONSTANT,
     flipped_decay_check,
     from_zeros,
@@ -257,6 +261,44 @@ def test_flipped_decay_scales_with_the_leading_coefficient(n, zeros):
 def test_flipped_decay_regime():
     with pytest.raises(ValueError):
         flipped_decay_check(from_zeros(1.0, [1.0]), 2, 2)  # k > n/2
+
+
+def test_flipped_decay_overflow_raises():
+    # the monic sups are finite; times |leading| = 1e300 they are not
+    with pytest.raises(OverflowEvaluationError, match=r"sup of \|y\^\(1/2\) W"):
+        flipped_decay_check(from_zeros(1e300, [1.0] * 39 + [-1e10]), 40, 1)
+
+
+def test_level_set_radius_covers_the_summed_widths_rounding():
+    # each set holds the whole ambient interval, whose computed length
+    # 0.7 - (-0.3) = 0.9999999999999999 is 2^-54 short of the exact one
+    I = Interval(-0.3, 0.7)
+    exact = Fraction(0.7) - Fraction(-0.3)
+    for rep in (large_logderiv_measure(from_zeros(1, [5.0, 3 + 1j, -4 - 2j, 7j]), 0.01, I),
+                small_logderiv_measure(from_zeros(1, [0.5j] * 3), 10.0, I)):
+        m = rep.measure
+        assert rep.intervals == (I,) and m.value == 0.9999999999999999
+        assert abs(Fraction(m.value) - exact) <= Fraction(m.err) < 1e-15
+
+
+def test_mean_value_window_scales_with_the_leading_coefficient():
+    # decided on the monic P, as the flipped decay check is
+    zeros = [3.0, 3.0, 3.0]
+    ref = mean_value_window_check(from_zeros(1.0, zeros))
+    for c in (1e-300, 1.0, 1e300, -3 + 4j):
+        rep = mean_value_window_check(from_zeros(c, zeros))
+        assert rep.satisfied == ref.satisfied
+        assert rep.min_abs == pytest.approx(abs(c) * ref.min_abs, rel=1e-14)
+        assert rep.half_norm == pytest.approx(abs(c) * ref.half_norm, rel=1e-14)
+
+
+def test_mean_value_window_overflow_raises():
+    # 1e308 (x - 3)^3 reaches 6.4e309 on [-1, 1]: a one-line error, with no
+    # numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowEvaluationError):
+            mean_value_window_check(from_zeros(1e308, [3.0, 3.0, 3.0]))
 
 
 def test_mean_value_window():

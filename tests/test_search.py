@@ -155,6 +155,19 @@ def test_frontier_sweep_single_cell():
     assert t.slope is None or isinstance(t.slope, float)
 
 
+def test_frontier_sweep_skips_k_above_n_and_flags_failed_cells():
+    t = frontier_sweep([0, 2], [0, 3], SearchConfig(budget=50, restarts=1, seed=1))
+    assert [(r.n, r.k, r.ok) for r in t.rows] == [(0, 0, False), (2, 0, True)]
+    assert t.rows[0].error == "class of constants has no meaningful ratio"
+    assert t.monotone_in_n == {0: "single"} and t.monotone_in_k == {2: "single"}
+
+
+def test_direction_labels():
+    assert search._direction([1.0, 3.0, 2.0]) == "mixed"
+    assert search._direction([1.0, 2.0]) == "increasing"
+    assert search._direction([2.0, 1.0]) == "decreasing"
+
+
 @pytest.mark.parametrize("budget, restarts", [(300.7, 2), (300, 2.5), (300, 2.0),
                                               ("300", 2), (0, 2), (300, 0)])
 def test_search_config_rejects_non_integer_or_small_counts(budget, restarts):

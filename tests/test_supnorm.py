@@ -111,6 +111,10 @@ def test_total_variation_frozen_values():
     assert cv.value == pytest.approx(TV_PARABOLA, abs=1e-9)
 
 
+def test_total_variation_of_a_constant_is_exactly_zero():
+    assert total_variation(from_zeros(3.0, [])) == CertifiedValue(0.0, 0.0)
+
+
 def test_total_variation_monotone_case():
     # strictly increasing on [-1,1]: V = P(1) - P(-1)
     P = from_zeros(1.0, [2.0])  # x - 2
