@@ -119,8 +119,8 @@ def _majorants(P: Polynomial, r, mz: np.ndarray, kmax: int):
     for k in range(1, kmax):
         pw = pw * inv if k == 1 else np.multiply(pw, inv, out=pw)
         p.append(np.sum(pw, axis=0))
-    E = [np.ones_like(M)]
-    for k in range(1, kmax + 1):
+    E = [1.0, p[0] + 4.0 * _EPS * p[0]]     # e_1 = p_1 >= 0, padded
+    for k in range(2, kmax + 1):
         e = sum((-1) ** (j - 1) * E[k - j] * p[j - 1] for j in range(1, k + 1)) / k
         E.append(np.maximum(e, 0.0) + 4.0 * k * _EPS * p[0] ** k)
     return M, E

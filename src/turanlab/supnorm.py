@@ -166,11 +166,11 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
 
 def _square(c: np.ndarray) -> np.ndarray:
     """Row-wise coefficients of |sum c_j tau^j|^2 for real tau."""
-    n = c.shape[1]
-    q = np.zeros((c.shape[0], 2 * n - 1), dtype=c.dtype)
+    n = c.shape[-1]
+    q = np.zeros(c.shape[:-1] + (2 * n - 1,), dtype=c.dtype)
     cc = np.conj(c)
     for i in range(n):
-        q[:, i:i + n] += c[:, i:i + 1] * cc
+        q[..., i:i + n] += c[..., i:i + 1] * cc
     return q.real
 
 
@@ -179,7 +179,7 @@ def _modulus_square(f: np.ndarray, err: np.ndarray, tail: np.ndarray):
     the coefficients of |S|^2, their rounding bounds, and bounds on the
     k-th tau-derivatives (k = 0, 1, 2) of |F|^2 - |S|^2 on [-1, 1]."""
     fa = np.abs(f) + err
-    qa, q0 = np.split(_square(np.vstack([fa, np.abs(f)])), 2)
+    qa, q0 = _square(np.stack([fa, np.abs(f)]))
     qerr = qa - q0 + 2.0 * f.shape[1] * _EPS * qa
     j = np.arange(f.shape[1])
     s0, s1, s2 = fa.sum(axis=1), fa @ j, fa @ (j * (j - 1))
