@@ -277,12 +277,12 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
             intervals.append([x0, x1])
     widths = np.concatenate([located[2], (b - a)[given_up]])
     value = float(np.sum(cells[1] - cells[0]))
-    # the differences and their sum round: fsum gives the exact total of the
-    # cell ends less value, rounded to nearest, and the 4 eps pad covers that.
-    # A crossing's piece [pl, pr] holds its located point x, so the piece's
+    # value rounds: the merged intervals have the cells' exact total length,
+    # and fsum gives it less value, rounded to nearest (the 4 eps pad covers
+    # that).  A crossing's piece [pl, pr] holds its located point x, so its
     # width overstates its error by min(x - pl, pr - x); half of that spare,
-    # a margin far above the rounding of those differences, offsets the slip
-    slip = abs(math.fsum(np.concatenate([cells[1], -cells[0], [-value]]).tolist()))
+    # far above the rounding of those differences, offsets the slip
+    slip = abs(math.fsum([-value] + [x for x0, x1 in intervals for x in (x1, -x0)]))
     spare = 0.5 * float(np.sum(located[3]))
     measure = CertifiedValue(value, float(np.sum(widths))
                              + max(slip * (1.0 + 4.0 * _EPS) - spare, 0.0))
