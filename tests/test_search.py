@@ -162,10 +162,8 @@ def test_frontier_sweep_skips_k_above_n_and_flags_failed_cells():
     assert t.monotone_in_n == {0: "single"} and t.monotone_in_k == {2: "single"}
 
 
-def test_direction_labels():
+def test_direction_mixed():
     assert search._direction([1.0, 3.0, 2.0]) == "mixed"
-    assert search._direction([1.0, 2.0]) == "increasing"
-    assert search._direction([2.0, 1.0]) == "decreasing"
 
 
 @pytest.mark.parametrize("budget, restarts", [(300.7, 2), (300, 2.5), (300, 2.0),
