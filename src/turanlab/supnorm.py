@@ -165,7 +165,7 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
 
 
 def _square(c: np.ndarray) -> np.ndarray:
-    """Row-wise coefficients of |sum c_j tau^j|^2 for real tau."""
+    """Coefficients of |sum c_j tau^j|^2 for real tau, along the last axis."""
     n = c.shape[-1]
     q = np.zeros(c.shape[:-1] + (2 * n - 1,), dtype=c.dtype)
     cc = np.conj(c)
