@@ -114,21 +114,21 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     cell holds one crossing of the level: Newton steps on |s|^2 - level^2,
     kept in a bisected bracket, locate it at x*, and point tests at the ends
     of the _MIN_CELL-wide piece around x* certify it when they match the
-    cell ends they face.  The rest of the cell is then settled, each half
-    of the piece takes the class of the cell end on its side (the crossing
-    is in the piece, so no split of it errs by more than its width), and
-    the width goes into the radius.  A real zero z0 on the ambient interval
-    is a cell end, so D2 is infinite beside it.  Where z0, of multiplicity
-    mu, is one end of a cell and no real zero the other (two poles can
-    cancel), |s| >= mu/(b - a) - (|s_rest(m)| + r D2_rest + rnd_rest) on the
+    cell ends they face.  The rest of the cell is then settled, the cell
+    splits at x*, and as the crossing is in the piece [pl, pr], the
+    distance max(x* - pl, pr - x*), rounded up, goes into the radius.  A
+    real zero z0 on the ambient interval is a cell end, so D2 is infinite
+    beside it.  Where z0, of multiplicity mu, is one end of a cell and no
+    real zero the other (two poles can cancel),
+    |s| >= mu/(b - a) - (|s_rest(m)| + r D2_rest + rnd_rest) on the
     cell, s_rest the other zeros' part of s; where that, padded for its
     rounding, exceeds the level, the cell is out of {|s| <= level} and in
     {|s| >= level}.  Any other cell, as at a tangency of |s| with the
     level, is split.  _refine returns each final cell with a code:
     0 out, 1 in, 2 crossing located (the crossing step records its inside
-    part and piece, as they divide the cell).  A cell narrower than
-    _MIN_CELL, or live when the cells would exceed the cap, is given up on:
-    its midpoint classifies it and its width goes into the radius.
+    part and its error).  A cell narrower than _MIN_CELL, or live when the
+    cells would exceed the cap, is given up on: its midpoint classifies it
+    and its width goes into the radius.
     """
     lo, hi = ambient.lo, ambient.hi
     zs = np.asarray(P.zeros, dtype=complex)[:, None]
@@ -142,7 +142,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     cheb = cheb[np.all(np.abs(cheb - poles) > 4.0 * _EPS * max(abs(lo), abs(hi)), axis=0)]
     grid = np.unique(np.concatenate([[lo, hi], cheb, inner]))
     rnd = 4.0 * (d + 1) * _EPS
-    located = [np.zeros((4, 0))]    # (inside part, piece width, spare) per crossing
+    located = [np.zeros((3, 0))]    # (inside part, error) per crossing
     pending = []    # (a, b, in at a, s, s') of the cells to locate a crossing in
 
     def classify(s, slack):
@@ -256,8 +256,10 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         n = a.size
         ok = np.where(ina, ins[:n] & outs[n:], outs[:n] & ins[n:])
         a, b, x, ina, pl, pr = a[ok], b[ok], x[ok], ina[ok], pl[ok], pr[ok]
+        # the crossing lies in [pl, pr], so x is within max(x - pl, pr - x)
+        # of it: that, rounded up, is its error
         located.append(np.array([np.where(ina, a, x), np.where(ina, x, b),
-                                 pr - pl, np.minimum(x - pl, pr - x)]))
+                                 np.nextafter(np.maximum(x - pl, pr - x), np.inf)]))
         return ok
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -279,13 +281,11 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     value = float(np.sum(cells[1] - cells[0]))
     # value rounds: the merged intervals have the cells' exact total length,
     # and fsum gives it less value, rounded to nearest (the 4 eps pad covers
-    # that).  A crossing's piece [pl, pr] holds its located point x, so its
-    # width overstates its error by min(x - pl, pr - x); half of that spare,
-    # far above the rounding of those differences, offsets the slip
+    # that); the radius adds the widths to it, and fsum rounds that sum to
+    # nearest too (the 2 eps pad covers it)
     slip = abs(math.fsum([-value] + [x for x0, x1 in intervals for x in (x1, -x0)]))
-    spare = 0.5 * float(np.sum(located[3]))
-    measure = CertifiedValue(value, float(np.sum(widths))
-                             + max(slip * (1.0 + 4.0 * _EPS) - spare, 0.0))
+    measure = CertifiedValue(value, math.fsum(widths.tolist() + [slip * (1.0 + 4.0 * _EPS)])
+                             * (1.0 + 2.0 * _EPS))
     return measure, tuple(Interval(x0, x1) for x0, x1 in intervals)
 
 

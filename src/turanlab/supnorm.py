@@ -7,11 +7,11 @@ roots of h = 2 Re(conj(F) F').  A Chebyshev grid of the interval, of
 2(d+1) cells at high degree (d = deg P), is refined until bounds taken
 from the zero list prove that each cell holds, for every F asked for, at
 most one root of h, or no value of |F| above the maximum found so far;
-the Taylor series of P on a cell is built once (a zero at a time, in
-whole-row products that round as the plain recurrence does) and gives
-those of P and P'.  It is cut after tau^3, with a bound on the rest, and
-taken in full, at O(d^2) a cell, only where the cut form fails and
-bisection could not do better.  A sign scan of each h over the final
+the Taylor series of P on a cell is built once (the zeros eight at a
+time: the groups' products expanded together, then folded in turn) and
+gives those of P and P'.  It is cut after tau^3, with a bound on the
+rest, and taken in full, at O(d^2) a cell, only where the cut form fails
+and bisection could not do better.  A sign scan of each h over the final
 cells then finds every root that matters; those in cells whose certified
 top of |F| could still exceed the largest |F| over the cell ends are
 narrowed together by Illinois steps (regula falsi, safeguarded by
@@ -25,8 +25,9 @@ the roots of P'.
 Memory grows linearly with the degree: every array that pairs the zeros
 with points or cells is built a block at a time.  The value kernel takes
 about 2^16 / d points a block (poly._blocks), the cell series about
-2^18 / d cells, but at least 1024, as _series loops over the zeros once a
-block.  The cell test of a block keeps only per-cell results, and any
+2^18 / d cells, but at least 1024, as _series folds its groups of zeros
+in turn once a block, and it expands the groups a block of them at a
+time.  The cell test of a block keeps only per-cell results, and any
 decision that compares cells with each other waits until every block is
 in, so the blocks never change a bit of the result.
 """
@@ -44,6 +45,7 @@ from .poly import (
     _EPS,
     Interval,
     Polynomial,
+    _blocks,
     _blockwise,
     _majorants,
     _values,
@@ -56,6 +58,12 @@ from .poly import (
 # of one round, whose arrays are built in blocks.  Level-set refinement, which
 # can keep many cells live, is tuned to this value.
 _BROADCAST_LIMIT = 2_000_000
+
+# _series takes the zeros this many at a time.  A group costs one fold into
+# the series; a zero, one step of the recurrence run on all groups at once.
+# At degree 80-200 the cheap series ran fastest with eight (four and twelve
+# were slower).
+_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,39 @@ def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
     return 0.5 * (a + b)
 
 
+def _group_products(z: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """The coefficients of tau^0, ..., tau^(n-1) in prod (z_i + r tau) over
+    each group of _GROUP consecutive rows z_i of z (zeros x cells; the last
+    group may be short), as (n, groups, cells), all groups at once.
+
+    In s = r tau the product is monic, so the recurrence c_j <- c_j z_i +
+    c_(j-1) starts from c = (z_first, 1), keeps its top coefficient 1 and
+    takes the one below as z_i + c_(j-1); row j is then scaled by r^j,
+    formed as r r ... r.  A short group skips the steps it has no zero
+    for, as a factor 1 would leave it unchanged."""
+    q = np.zeros((n, -(-len(z) // _GROUP), z.shape[1]), dtype=complex)
+    q[0], q[1:2] = z[::_GROUP], 1.0
+    for i in range(2, _GROUP + 1):      # the degree after this step
+        t = z[i - 1::_GROUP]
+        k = len(t)      # the groups with an i-th zero come first
+        if not k:
+            break
+        rows = n - 1    # rows 1..rows take c_j z_i + c_(j-1)
+        if i < n:       # a new top 1, and z_i + c_(j-1) below it
+            q[i, :k] = 1.0
+            np.add(t, q[i - 2, :k], out=q[i - 1, :k])
+            rows = i - 2
+        for j in range(rows, 0, -1):
+            q[j, :k] *= t
+            q[j, :k] += q[j - 1, :k]
+        q[0, :k] *= t
+    rj = r
+    for j in range(1, n):
+        q[j] *= rj
+        rj = rj * r
+    return q
+
+
 def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
     """[(f, err, tail) for F = P^(o), o in the ascending orders] on the
     cells [a, b], x = m + r tau.
@@ -133,22 +174,47 @@ def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
     sup|P''''| <= 24 M E_4 (_majorants); the full form keeps all of them,
     at O(d^2) per cell.
 
-    The coefficients of a batch of cells are rows of one buffer (tau^j in
-    row j + 1, row 0 zero): three whole-row products per zero form each
-    c_j (m - z_i) + c_(j-1) r, the same operations, so the same bound.
+    The zeros go _GROUP = 8 at a time, in the order of the zero list (the
+    last group may hold fewer): _group_products expands the product of the
+    factors (m - z_i) + r tau of every group at once, a block of groups at
+    a time (poly._blocks), and the groups fold into the series in turn,
+    each by the truncated product c_j <- sum_k c_(j-k) q_k of at most nine
+    terms, summed in k order, on whole rows of the cells.
+
+    The bound, against the majorant |leading| prod (|m - z_i| + r tau), with
+    u = eps/2: a complex product rounds by at most sqrt(5) u, a real product
+    or a sum by u, and the errors of two factors add against the product of
+    their majorants.  A group's first factor is exact and each further step
+    c_j z_i + c_(j-1) adds (1 + sqrt(5)) u, 22.7u for seven; the scaling by
+    r^j adds ju, at most 8u; a fold adds sqrt(5) u for its products and 8u
+    for its sums.  That is 41u for eight zeros, 5.1u a zero, where the
+    stated 4(d+2) eps allows 8u a zero, and the rest covers the leading
+    coefficient and the shift.  M (r E_1)^j dominates the coefficients of the majorant,
+    so the bound holds.
     """
     m, r = 0.5 * (a + b), 0.5 * (b - a)
     mz = m[None, :] - np.asarray(P.zeros, dtype=complex)[:, None]
     M, E = _majorants(P, r, mz, 4)
     terms = P.degree + 1 if full else min(P.degree + 1, 4)
-    buf, nxt, tmp = np.zeros((3, terms + 1, m.size), dtype=complex)
-    buf[1] = P.leading
-    for t in mz:
-        np.multiply(buf[1:], t, out=nxt[1:])
-        np.multiply(buf[:-1], r, out=tmp[1:])
-        nxt[1:] += tmp[1:]
-        buf, nxt = nxt, buf
-    c, r = np.ascontiguousarray(buf[1:].T), r[:, None]  # row sums keep order
+    n = min(terms, _GROUP + 1)      # the terms of a group's product that count
+    c, new, tmp = np.zeros((3, terms, m.size), dtype=complex)
+    c[0] = P.leading
+    # a block of groups at a time, n rows a group
+    groups = range(-(-P.degree // _GROUP))
+    done = 0        # zeros folded in
+    for sl in _blocks(len(groups), n * m.size):
+        block = groups[sl]
+        q = _group_products(mz[_GROUP * block.start:_GROUP * block.stop], r, n)
+        for g in range(q.shape[1]):
+            size = min(P.degree - done, _GROUP)
+            done += size
+            live = min(done + 1, terms)     # c_j = 0 from j = live on
+            np.multiply(c[:live], q[0, g], out=new[:live])
+            for k in range(1, min(size + 1, n)):
+                np.multiply(c[:live - k], q[k, g], out=tmp[:live - k])
+                new[k:live] += tmp[:live - k]
+            c, new = new, c
+    c, r = np.ascontiguousarray(c.T), r[:, None]  # row sums keep order
     err = (4.0 * (P.degree + 2) * _EPS * M[:, None]
            * (r * E[1][:, None]) ** np.arange(c.shape[1]))
     out = []
@@ -243,15 +309,17 @@ def _cells(P: Polynomial, I: Interval, tol: float, test, join=None):
     15.  test(a, b, full) runs on blocks of the cells [a, b], with the cheap
     _series or the full one: 2^18 / d cells a block bound the (zeros x
     cells) arrays of _series, and blocks of at least 1024 cells keep its
-    loop over the zeros from costing more than it saves.  It returns
-    (accepted, record, near) per cell, or per-cell arrays that join turns
-    into those once every block is in.
+    fold over the groups of zeros from costing more than it saves.  It
+    returns (accepted, record, near) per cell, or per-cell arrays that join
+    turns into those once every block is in.
 
-    A full cell costs about (d+1)/4 cheap ones, plus O(d^2) in _square; a
-    bisected one, two cheap ones a round until it settles.  So a round's
-    failed cells all go on to the full series only while failed (d+1) <=
-    16 cells; past that only those marked near (flat cells at a maximum,
-    which bisection is slow to settle) do, and the rest are bisected.  The
+    A full cell costs about (d+1)/4 cheap ones, plus O(d^2) in _square (on
+    the 2(d+1) start cells, _series took 2.7 times as long in full at
+    d = 60 and 14 times at d = 200); a bisected one, two cheap ones a
+    round until it settles.  So a round's failed cells all go on to the
+    full series only while failed (d+1) <= 16 cells; past that only those
+    marked near (flat cells at a maximum, which bisection is slow to
+    settle) do, and the rest are bisected.  The
     cells the full series takes keep its record.
     """
     d = P.degree

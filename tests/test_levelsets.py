@@ -117,6 +117,16 @@ def test_large_measure_closed_form_crossings(monkeypatch, b, alpha):
     assert len(rep.intervals) == 1
 
 
+def test_located_crossing_is_charged_its_distance_to_the_piece_ends():
+    # the crossing lies in the piece [pl, pr] around the located x, so x
+    # errs by at most max(x - pl, pr - x), about half the piece: both ends
+    # of {|1/(x - i/2)| >= 1} = [-sqrt(3)/2, sqrt(3)/2] were charged the
+    # whole _MIN_CELL width, a radius of 2.0e-12 (1e-15 covers the
+    # rounding of math.sqrt)
+    rep = large_logderiv_measure(from_zeros(1.0, [0.5j]), 1.0)
+    assert abs(rep.measure.value - math.sqrt(3.0)) + 1e-15 <= rep.measure.err <= 1.1e-12
+
+
 def test_small_measure_tangency_falls_back_to_bisection(monkeypatch):
     # |1/(x - i)| = 1/sqrt(1 + x^2) touches the level 1 at its maximum x = 0,
     # where |s|^2 is not monotone, and stays within rounding of the level for

@@ -560,7 +560,10 @@ def _series_input(degree):
 
 @pytest.mark.parametrize("degree, forms", [(0, (False, True)), (1, (False, True)),
                                            (3, (False, True)), (60, (False, True)),
-                                           (200, (False,))])
+                                           (200, (False,)), (2, (False, True)),
+                                           (4, (False, True)), (5, (False, True)),
+                                           (6, (False, True)), (7, (False, True)),
+                                           (8, (False, True)), (9, (False, True))])
 def test_cell_series_within_rounding_bound_of_exact_expansion(degree, forms):
     # every coefficient of P and of P' in tau, cheap and full form, lies
     # within its stated rounding bound of the exact rational expansion
@@ -583,37 +586,61 @@ def test_cell_series_within_rounding_bound_of_exact_expansion(degree, forms):
                     assert du * du + dv * dv <= Fraction(err[j]) ** 2, (full, i, j)
 
 
-def _column_recurrence(P, a, b, terms):
-    """The Taylor coefficients of P(m + r tau) by the plain recurrence,
-    c_j <- c_j (m - z) + c_(j-1) r, on a (cells x terms) array."""
-    m, r = 0.5 * (a + b), (0.5 * (b - a))[:, None]
+def _grouped_reference(P, a, b, terms, group):
+    """The Taylor coefficients of P(m + r tau) as a (cells x terms) array,
+    group zeros at a time: each group's product in s = r tau by the plain
+    recurrence q_j <- q_j (m - z) + q_(j-1) from q = (m - z, 1) for its
+    first zero, q_j times r^j (formed as r r ... r), then
+    c_j <- sum_k c_(j-k) q_k, summed in k order, for j < terms."""
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
     c = np.zeros((m.size, terms), dtype=complex)
     c[:, 0] = P.leading
-    for z in P.zeros:
-        t = (m - z)[:, None]
-        c[:, 1:] = c[:, 1:] * t + c[:, :-1] * r
-        c[:, :1] *= t
+    for s in range(0, P.degree, group):
+        zs = P.zeros[s:s + group]
+        q = np.zeros((m.size, len(zs) + 1), dtype=complex)
+        q[:, 0], q[:, 1] = m - zs[0], 1.0
+        for z in zs[1:]:
+            t = (m - z)[:, None]
+            q[:, 1:] = q[:, 1:] * t + q[:, :-1]
+            q[:, :1] *= t
+        rj = r
+        for j in range(1, len(zs) + 1):
+            q[:, j] *= rj
+            rj = rj * r
+        folded = np.zeros_like(c)
+        for j in range(terms):
+            acc = c[:, j] * q[:, 0]
+            for k in range(1, min(j, len(zs)) + 1):
+                acc = acc + c[:, j - k] * q[:, k]
+            folded[:, j] = acc
+        c = folded
     return c
 
 
-def test_cell_series_is_the_plain_recurrence_bit_for_bit():
-    # the rounding bound is proven for the recurrence's own operations, so
-    # the row buffer must reproduce them to the bit
+def test_cell_series_is_the_grouped_product_bit_for_bit(monkeypatch):
+    # the rounding bound is argued for the grouped operations (_series), so
+    # the blocks of groups, the cut rows and the short last group must
+    # reproduce them to the bit; 60 zeros leave a group of four, the others
+    # none
     member = sample(ClassSpec(120, 20, pin_interval_zero=True), seed=3)
-    for P, forms in ((_series_input(60), (False, True)), (member, (False, True)),
-                     (_series_input(200), (False,))):
-        # the sup engine's start: max(2(d+1), min(8(d+1), 128)) Chebyshev cells
-        n = P.degree + 1
-        x = np.unique(_cheb_grid(-1.0, 1.0, max(2 * n, min(8 * n, 128))))
-        a, b = x[:-1], x[1:]
-        M, E = _majorants(P, 0.5 * (b - a), 0.5 * (a + b) - np.array(P.zeros)[:, None], 4)
-        r = 0.5 * (b - a)
-        for full in forms:
-            f, err, _ = _series(P, a, b, (0,), full)[0]
-            assert np.array_equal(f, _column_recurrence(P, a, b, f.shape[1]))
-            bound = (4.0 * (P.degree + 2) * 2.0 ** -52 * M[:, None]
-                     * (r[:, None] * E[1][:, None]) ** np.arange(f.shape[1]))
-            assert np.array_equal(err, bound)
+    cases = ((_series_input(60), (False, True)), (member, (False, True)),
+             (_series_input(200), (False,)))
+    for limit in (poly._BLOCK_LIMIT, 1):     # 1: blocks of two groups
+        monkeypatch.setattr(poly, "_BLOCK_LIMIT", limit)
+        for P, forms in cases:
+            # the sup engine's start: max(2(d+1), min(8(d+1), 128)) Chebyshev cells
+            n = P.degree + 1
+            x = np.unique(_cheb_grid(-1.0, 1.0, max(2 * n, min(8 * n, 128))))
+            a, b = x[:-1], x[1:]
+            r = 0.5 * (b - a)
+            M, E = _majorants(P, r, 0.5 * (a + b) - np.array(P.zeros)[:, None], 4)
+            for full in forms:
+                f, err, _ = _series(P, a, b, (0,), full)[0]
+                ref = _grouped_reference(P, a, b, f.shape[1], supnorm._GROUP)
+                assert np.array_equal(f, ref)
+                bound = (4.0 * (P.degree + 2) * 2.0 ** -52 * M[:, None]
+                         * (r[:, None] * E[1][:, None]) ** np.arange(f.shape[1]))
+                assert np.array_equal(err, bound)
 
 
 def _into_half_disk(zeros):
