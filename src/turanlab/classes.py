@@ -151,6 +151,30 @@ def _zeros_from_params(p: np.ndarray, spec: ClassSpec) -> np.ndarray:
     return re + 1j * im
 
 
+def _params_from_zeros(zeros, spec: ClassSpec) -> np.ndarray:
+    """The inverse of ``_zeros_from_params`` on the zero lists it reaches:
+    (|z|, arg z), artanh of the parts of z / 3, or (Re z, 0) per slot."""
+    z = np.asarray(zeros, dtype=complex)
+    nc = spec.n - spec.k
+    p = np.empty(2 * spec.n)
+    p[0::2] = np.concatenate([np.abs(z[:nc]), np.arctanh(z.real[nc:] / 3.0)])
+    p[1::2] = np.concatenate([np.angle(z[:nc]), np.arctanh(z.imag[nc:] / 3.0)])
+    if spec.pin_interval_zero and spec.n >= 1:
+        p[:2] = z[0].real, 0.0
+    return p
+
+
+def _draw_params(spec: ClassSpec, rng: np.random.Generator) -> np.ndarray:
+    """A random start for ``embed``: (r, theta) uniform on the clamp box,
+    the tanh coordinates standard normal, the pin uniform in [-1, 1]."""
+    nc = spec.n - spec.k
+    p = np.concatenate([rng.uniform(0.0, np.tile([1.0, np.pi], nc)),
+                        rng.normal(0.0, 1.0, 2 * spec.k)])
+    if spec.pin_interval_zero:
+        p[0] = rng.uniform(-1.0, 1.0)
+    return p
+
+
 def embed(params, spec: ClassSpec) -> Polynomial:
     """Map a flat real vector to a class member (for derivative-free search).
 

@@ -107,10 +107,10 @@ def _cmd_lemma31(args):
 def _cmd_lemma32(args):
     if args.zeros is not None:
         R = from_payload({"leading": [1, 0], "zeros": json.loads(args.zeros)})
-        if args.deg is not None and args.deg != R.degree:
-            raise ValueError(f"--deg {args.deg} does not match {R.degree} zeros")
     else:
         R = _load_poly(args)
+    if args.deg is not None and args.deg != R.degree:
+        raise ValueError(f"--deg {args.deg} does not match {R.degree} zeros")
     return _levelsets.large_logderiv_measure(R, args.alpha, _interval(args)).to_payload()
 
 

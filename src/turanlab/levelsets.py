@@ -84,6 +84,13 @@ class FlippedDecayReport:
         return asdict(self)
 
 
+def _inverse_sums(x, zs):
+    """s = sum 1/(x - z_i), sum |1/(x - z_i)| and s' = -sum 1/(x - z_i)^2
+    at the points x, for the zeros z_i in the column zs."""
+    inv = 1.0 / (x - zs)
+    return inv.sum(0), np.abs(inv).sum(0), -(inv * inv).sum(0)
+
+
 def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     """Measure and intervals of {|s| <= level} (small) or {|s| >= level}
     inside ambient, s = P'/P = sum 1/(x - z_i).
@@ -154,19 +161,9 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
             return s + slack <= level, s - slack > level, s <= level
         return s - slack >= level, s + slack < level, s >= level
 
-    def values(x):
-        """s and sum |1/(x - z_i)| at the points x."""
-        inv = 1.0 / (x - zs)
-        return inv.sum(0), np.abs(inv).sum(0)
-
-    def slopes(x):
-        """s and s' at the points x."""
-        inv = 1.0 / (x - zs)
-        return inv.sum(0), -(inv * inv).sum(0)
-
     def point(x):
         """(certainly in, certainly out, in by the value) at the points x."""
-        s, size = _blockwise(values, d, x)
+        s, size, _ = _blockwise(lambda x: _inverse_sums(x, zs), d, x)
         return classify(s, rnd * size)
 
     # every (zeros x cells) array is built on blocks of cells; the crossings
@@ -247,7 +244,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
             x = step
             if not moved.any():
                 break
-            s, sp = _blockwise(slopes, d, x)
+            s, _, sp = _blockwise(lambda x: _inverse_sums(x, zs), d, x)
         pl = np.maximum(a, x - 0.5 * _MIN_CELL)
         pr = np.minimum(b, pl + _MIN_CELL)
         # no wider than _MIN_CELL after the rounding of pl + _MIN_CELL
@@ -415,7 +412,7 @@ def logderiv_values(P: Polynomial, xs) -> np.ndarray:
     zs = np.asarray(P.zeros, dtype=complex)[:, None]
     x = np.asarray(xs, dtype=complex).ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = _blockwise(lambda x: (np.sum(1.0 / (x - zs), axis=0),), zs.size, x)[0]
+        s = _blockwise(lambda x: _inverse_sums(x, zs), zs.size, x)[0]
     out = np.abs(s)
     out[~np.isfinite(out)] = np.inf
     return out

@@ -45,6 +45,8 @@ from .classes import (
     ClassSpec,
     IncompleteSpec,
     _check_seed,
+    _draw_params,
+    _params_from_zeros,
     _rng,
     _zeros_from_params,
     embed,
@@ -137,27 +139,6 @@ def _warm_family(d: int) -> tuple:
     members.append([1.0] * d)
     return tuple((turan_ratio(P), P)
                  for P in (from_zeros(1.0, zeros) for zeros in members))
-
-
-def _warm_param_starts(spec: ClassSpec) -> list:
-    """Parameter vectors encoding the structured families at full degree."""
-    starts = []
-    nc = spec.n - spec.k
-    pin_slot = 0 if spec.pin_interval_zero and spec.n >= 1 else None
-    for flip in (0, 1):
-        p = np.zeros(2 * spec.n)
-        for i in range(spec.n):
-            sign = 1.0 if (i + flip) % 2 == 0 else -1.0
-            if pin_slot is not None and i == pin_slot:
-                p[2 * i] = sign
-            elif i < nc:
-                p[2 * i] = 1.0
-                p[2 * i + 1] = 0.0 if sign > 0 else math.pi
-            else:
-                p[2 * i] = math.atanh(sign / 3.0)
-                p[2 * i + 1] = 0.0
-        starts.append(p)
-    return starts
 
 
 def _ordered(sim, fsim):
@@ -330,7 +311,8 @@ def _lowest_certified(objective, width: int, starts, budget: int,
 
 
 def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> SearchResult:
-    """Estimate the infimum of ||P'||/||P|| over the class via restarts."""
+    """Estimate the infimum of ||P'||/||P|| over the class via restarts, the
+    first two from Turan's (x - 1)(x + 1)(x - 1)... and its mirror."""
     if spec.n == 0:
         raise SearchFailure("class of constants has no meaningful ratio")
     xs = _cheb_grid(-1.0, 1.0, max(64, 16 * spec.n))
@@ -338,20 +320,9 @@ def minimize_ratio(spec: ClassSpec, cfg: SearchConfig = SearchConfig()) -> Searc
             for w in _warm_family(d)]
 
     rng = _rng(cfg.seed)
-    starts = _warm_param_starts(spec)[: cfg.restarts]
-    nc = spec.n - spec.k
-    while len(starts) < cfg.restarts:
-        x0 = np.empty(2 * spec.n)
-        for i in range(spec.n):
-            if i < nc:
-                x0[2 * i] = rng.uniform(0.0, 1.0)
-                x0[2 * i + 1] = rng.uniform(0.0, math.pi)
-            else:
-                x0[2 * i] = rng.normal(0.0, 1.0)
-                x0[2 * i + 1] = rng.normal(0.0, 1.0)
-        if spec.pin_interval_zero:
-            x0[0] = rng.uniform(-1.0, 1.0)
-        starts.append(x0)
+    turan = (-1.0) ** np.arange(spec.n)
+    starts = [_params_from_zeros(z, spec) for z in (turan, -turan)][: cfg.restarts]
+    starts += [_draw_params(spec, rng) for _ in range(cfg.restarts - len(starts))]
 
     def certify(x):
         P = embed(x, spec)

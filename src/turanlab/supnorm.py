@@ -313,14 +313,14 @@ def _cells(P: Polynomial, I: Interval, tol: float, test, join=None):
     returns (accepted, record, near) per cell, or per-cell arrays that join
     turns into those once every block is in.
 
-    A full cell costs about (d+1)/4 cheap ones, plus O(d^2) in _square (on
-    the 2(d+1) start cells, _series took 2.7 times as long in full at
-    d = 60 and 14 times at d = 200); a bisected one, two cheap ones a
-    round until it settles.  So a round's failed cells all go on to the
-    full series only while failed (d+1) <= 16 cells; past that only those
-    marked near (flat cells at a maximum, which bisection is slow to
-    settle) do, and the rest are bisected.  The
-    cells the full series takes keep its record.
+    A round's failed cells all go on to the full series only while failed
+    (d+1) <= 16 cells; past that only those marked near (flat cells at a
+    maximum, which bisection is slow to settle) do, and the rest are
+    bisected.  The rule was set by timing whole calls, not by the cost of
+    one cell (on the 2(d+1) start cells _series took 2.7 times as long in
+    full at d = 60 and 14 times at d = 200): on 2 cores, sending every
+    failed cell to the full series took turan_ratio(T_200) from 44 ms to
+    1.7 s.  The cells the full series takes keep its record.
     """
     d = P.degree
 
@@ -488,9 +488,10 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     Requires P real-valued on I (checked at probe points).  Grid cells are
     bisected until the Taylor series of P on each (_series) proves it holds
     no root of P' or at most one, or that the variation it can hide,
-    2r sup|P'|, is below rounding.  The sign changes of P' are narrowed to
-    1e-12 and the cell ends stay in as breakpoints.  The variation the final
-    cells can hide, where flat or given up on, joins the radius.
+    2r sup|P'|, is below 4 times the rounding bound of P there.  The sign
+    changes of P' are narrowed to 1e-12 and the cell ends stay in as
+    breakpoints.  The variation the final cells can hide, where flat or
+    given up on, and the rounding bounds of the values join the radius.
     """
     pv = evaluate_many(P, np.linspace(I.lo, I.hi, 5))
     if np.any(np.abs(pv.imag) > 1e-9 * (1.0 + np.abs(pv))):
@@ -505,7 +506,7 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
         c, err, tail = _series(P, a, b, (0,), full)[0]
         c = c.real
         s = (np.abs(c) + err) @ np.arange(c.shape[1])
-        hide, below = 2.0 * (s + tail[1]), 16.0 * _EPS * (1.0 + np.abs(c[:, 0]))
+        hide, below = 2.0 * (s + tail[1]), 4.0 * err[:, 0]
         flat = hide <= below
         simple = _no_root(c, err, tail[1], 1) | _no_root(c, err, tail[2], 2)
         # near: the cell would be flat but for the remainder
@@ -517,10 +518,14 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     roots = _narrow(lambda xs: derivative_values(P, xs).real,
                     x[i], x[i + 1], dv[i], dv[i + 1], tol)
     pts = np.unique(np.clip(np.concatenate([x, roots]), I.lo, I.hi))
-    vals = evaluate_many(P, pts).real
-    tv = float(np.sum(np.abs(np.diff(vals))))
+    (vals,), M, _ = _values(P, pts, 0, tol)
+    tv = float(np.sum(np.abs(np.diff(vals.real))))
     md = float(np.max(np.abs(dv)))
-    err = 2.0 * len(pts) * (tol * md + 16.0 * _EPS * (1.0 + float(np.max(np.abs(vals)))))
+    # each value, off by its rounding bound 4(d+2) eps M (plus 2^-1074 where
+    # subnormal), enters two differences; they and their sum round by at
+    # most len(pts) eps tv
+    rnd = 4.0 * (P.degree + 2) * _EPS * float(np.sum(M)) + len(pts) * math.ulp(0.0)
+    err = 2.0 * (len(pts) * tol * md + rnd) + len(pts) * _EPS * tv
     err += float(np.sum(hide[(flat > 0) | given_up]))
     if not math.isfinite(tv + err):
         raise OverflowEvaluationError("the total variation")

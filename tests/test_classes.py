@@ -14,6 +14,7 @@ from turanlab import (
     is_member,
     sample,
 )
+from turanlab.classes import _draw_params, _params_from_zeros, _rng, _zeros_from_params
 
 
 def test_spec_validation():
@@ -116,6 +117,26 @@ def test_embed_clamps_constrained_radius():
     spec = ClassSpec(1, 0)
     P = embed([7.0, 0.0], spec)       # radius clamped to 1
     assert abs(P.zeros[0]) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n, k, pin", [(6, 0, True), (6, 2, True), (5, 5, True),
+                                       (5, 1, False)])
+def test_params_from_zeros_inverts_the_map(n, k, pin):
+    # (5, 5) pinned puts the pin in a free slot.  On the alternating members
+    # the parameters come back bit for bit; the zeros within 4 eps, as a
+    # polar -1 maps to -1 + sin(pi) i, sin(pi) = 1.2e-16
+    spec = ClassSpec(n, k, pin_interval_zero=pin)
+    eps = np.finfo(float).eps
+    turan = (-1.0) ** np.arange(n)
+    rng = _rng(5)
+    reached = [_zeros_from_params(_draw_params(spec, rng), spec) for _ in range(200)]
+    for i, z in enumerate([turan, -turan] + reached):
+        p = _params_from_zeros(z, spec)
+        assert p.shape == (2 * n,)
+        back = _zeros_from_params(p, spec)
+        assert np.max(np.abs(back - z)) <= 4 * eps, (z, back)
+        if i < 2:
+            assert np.array_equal(_params_from_zeros(back, spec), p)
 
 
 def test_embed_wrong_length():

@@ -94,6 +94,18 @@ def test_lemma32_degree_mismatch_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_lemma32_degree_mismatch_from_a_file_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "r2.json"
+    path.write_text(json.dumps(to_payload(from_zeros(1.0, [0.5, -0.5]))))
+    code, _, err = run(capsys, "lemma32", "--poly", str(path),
+                       "--alpha", "100", "--deg", "5")
+    assert code == 1
+    assert err.startswith("error:")
+    code, out, _ = run(capsys, "lemma32", "--poly", str(path),
+                       "--alpha", "100", "--deg", "2")
+    assert code == 0
+
+
 def test_search_json(capsys):
     code, out, _ = run(capsys, "search", "--n", "1", "--k", "0", "--pin",
                        "--budget", "500", "--restarts", "2", "--seed", "1")

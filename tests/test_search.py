@@ -61,6 +61,19 @@ def test_search_result_trace_monotone():
         assert vals[-1] == res.ratio.value
 
 
+def test_search_starts_keep_their_draw_order():
+    # values of the implementation that drew each start coordinate by
+    # itself: the warm starts and the random draws keep their bits
+    res = minimize_ratio(ClassSpec(5, 1, True), SearchConfig(300, 3, 2))
+    assert res.params == (
+        -4.907422513057227, 0.6635066489283508, 1.0571080741353187,
+        2.5287223334597115, 1.1809023149572573, 3.7189073430835506,
+        1.6708589264978286, 2.144919744504854, 0.5228675773420239,
+        -0.12032121111501765)
+    assert res.ratio.value == 0.9620894176531026
+    assert res.evals == 907
+
+
 def test_search_determinism():
     a = minimize_ratio(ClassSpec(3, 0), FAST)
     b = minimize_ratio(ClassSpec(3, 0), FAST)

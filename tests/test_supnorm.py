@@ -115,6 +115,22 @@ def test_total_variation_of_a_constant_is_exactly_zero():
     assert total_variation(from_zeros(3.0, [])) == CertifiedValue(0.0, 0.0)
 
 
+@pytest.mark.parametrize("zeros", [[0.3, -0.4, 0.5 + 0.2j, 0.5 - 0.2j],
+                                   [math.cos((2 * j + 1) * math.pi / 120) for j in range(60)]])
+def test_total_variation_radius_scales_with_the_leading_coefficient(zeros):
+    # the radius comes from rounding bounds relative to P, so it scales with
+    # the leading coefficient as the value does: at monic T_60 (V = 2.1e-16)
+    # an absolute floor would leave it thousands of times the value
+    ref = total_variation(from_zeros(1.0, zeros))
+    assert ref.err <= 1e-7 * ref.value, ref
+    for c in (1e-250, 1e-20, 1e-10, 1e200, -3.0):
+        cv = total_variation(from_zeros(c, zeros))
+        assert cv.value == pytest.approx(abs(c) * ref.value, rel=1e-12)
+        # the scaled values round differently, which can move a cell test
+        # that sits on its margin, and with it the radius by a little
+        assert cv.err / cv.value == pytest.approx(ref.err / ref.value, rel=1e-2)
+
+
 def test_total_variation_monotone_case():
     # strictly increasing on [-1,1]: V = P(1) - P(-1)
     P = from_zeros(1.0, [2.0])  # x - 2
