@@ -47,7 +47,6 @@ from .levelsets import (
     LARGE_SET_CONSTANT,
     SMALL_SET_CONSTANT,
     DecayReport,
-    FlippedDecayReport,
     LevelSetReport,
     MeanValueReport,
     flipped_decay_check,

@@ -9,7 +9,8 @@ the cell's two ends classify it, or Newton steps locate the one boundary
 point in it to within _MIN_CELL.  Poles of s at real zeros are cell ends;
 where one alone outweighs the rest of s on a cell, |s| exceeds the level
 there.  Any other cell is split.  The measure is the total length of the
-inside cells.
+inside cells.  The two decay checks compare two certified sup norms of
+monic squares; the mean-value window check still samples |P|.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ _MIN_CELL = 1e-12
 SMALL_SET_CONSTANT = 70.0 * math.e       # bound m{|Q'/Q| <= n*delta} < 70e*delta
 LARGE_SET_CONSTANT = 8.0 * math.sqrt(2)  # bound m{|R'/R| >= alpha} <= 8*sqrt(2)*k/alpha
 
-# uniform sample points of the decay check's interval and of the
-# mean-value window
-_DECAY_SAMPLES = 10_000
+# uniform sample points of the mean-value window
 _WINDOW_SAMPLES = 200
 
 
@@ -62,26 +61,15 @@ class LevelSetReport:
 
 @dataclass(frozen=True)
 class DecayReport:
-    max_violation: float | None
+    restricted_sup: float | None
+    full_sup: float | None
     interval: Interval | None
     vacuous: bool
     satisfied: bool
-    samples: int
 
     def to_payload(self) -> dict:
         iv = self.interval
         return asdict(self) | {"interval": None if iv is None else [iv.lo, iv.hi]}
-
-
-@dataclass(frozen=True)
-class FlippedDecayReport:
-    restricted_sup: float
-    full_sup: float
-    degenerate: bool
-    satisfied: bool
-
-    def to_payload(self) -> dict:
-        return asdict(self)
 
 
 def _inverse_sums(x, zs):
@@ -326,11 +314,24 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
     return LevelSetReport(measure, bound, alpha, satisfied, intervals)
 
 
-def incomplete_decay_check(S: Polynomial, n: int, k: int) -> DecayReport:
-    """Check |S(x)| <= x^((n-k)/2) * ||S||_[0,1] on [0, 1 - 10k/(n-k)].
+def _decay(restricted: Polynomial, full: Polynomial, I: Interval, scale: float, what: str):
+    """DecayReport of sup_I |restricted| < sup_[0,1] |full|, each monic and the
+    square of a checked sup over scale^2, by certified sup norms; the sups
+    are reported as square roots times scale, and a one-point I as vacuous."""
+    r, f = sup_norm(restricted, I), sup_norm(full, Interval(0.0, 1.0))
+    satisfied = r.value + r.err < f.value - f.err
+    r, f = scale * math.sqrt(r.value), scale * math.sqrt(f.value)
+    if not (math.isfinite(r) and math.isfinite(f)):
+        raise OverflowEvaluationError(what)
+    return DecayReport(r, f, I, I.lo == I.hi, satisfied)
 
-    S must factor as x^(n-k) * R with deg R <= k.  The comparison interval
-    can be empty (10k >= n-k), which is reported as a vacuous pass.
+
+def incomplete_decay_check(S: Polynomial, n: int, k: int) -> DecayReport:
+    """Check |S(x)| < x^((n-k)/2) * ||S||_[0,1] on [0, 1 - 10k/(n-k)].
+
+    S must factor as x^(n-k) * R with deg R <= k (its n-k zeros nearest 0
+    count as 0): the sups of x^(n-k) R^2 there and x^(2(n-k)) R^2 on [0, 1]
+    decide it.  An empty interval (10k >= n-k) is a vacuous pass.
     """
     if not (1 <= k <= n - 1):
         raise ValueError(f"needs 1 <= k <= n-1, got n={n}, k={k}")
@@ -339,23 +340,19 @@ def incomplete_decay_check(S: Polynomial, n: int, k: int) -> DecayReport:
             f"shape mismatch: need degree <= {n} with >= {n - k} zeros at 0")
     hi = 1.0 - 10.0 * k / (n - k)
     if hi <= 0.0:
-        return DecayReport(None, None, True, True, 0)
-    norm = sup_norm(S, Interval(0.0, 1.0)).value
-    xs = np.linspace(0.0, hi, _DECAY_SAMPLES)
-    vals = np.abs(evaluate_many(S, xs))
-    envelope = xs ** ((n - k) / 2.0) * norm
-    viol = float(np.max(vals - envelope))
-    return DecayReport(viol, Interval(0.0, hi), False,
-                       viol <= 1e-12 * (1.0 + norm), _DECAY_SAMPLES)
+        return DecayReport(None, None, None, True, True)
+    R2 = 2 * sorted(S.zeros, key=abs)[n - k:]
+    return _decay(from_zeros(1.0, [0.0] * (n - k) + R2),
+                  from_zeros(1.0, [0.0] * (2 * (n - k)) + R2),
+                  Interval(0.0, hi), abs(S.leading), "the sup of |S(x)| / x^((n-k)/2)")
 
 
-def flipped_decay_check(W: Polynomial, n: int, k: int) -> FlippedDecayReport:
+def flipped_decay_check(W: Polynomial, n: int, k: int) -> DecayReport:
     """Check sup of |y^(1/2) W(y)| over [10(2k+1)/n, 1] < sup over [0, 1].
 
     W must factor as (1-x)^(n-k) * V with deg V <= k and 1 <= k <= n/2.
-    Both sups come from the monic x * (W(x) / leading)^2, whose modulus on
-    [0,1] is the square of the target over |leading|^2; they are compared
-    on that scale and reported as square roots times |leading|.
+    Both sups come from the monic y (W(y) / leading)^2; where
+    10(2k+1)/n >= 1 they are compared at y = 1, which is vacuous.
     """
     if not (1 <= k and 2 * k <= n):
         raise ValueError(f"needs 1 <= k <= n/2, got n={n}, k={k}")
@@ -363,17 +360,8 @@ def flipped_decay_check(W: Polynomial, n: int, k: int) -> FlippedDecayReport:
         raise MembershipError(
             f"shape mismatch: need degree <= {n} with >= {n - k} zeros at 1")
     aux = from_zeros(1.0, W.zeros + W.zeros + (0.0,))
-    y0 = 10.0 * (2 * k + 1) / n
-    degenerate = y0 >= 1.0
-    lo = min(y0, 1.0)
-    full = sup_norm(aux, Interval(0.0, 1.0))
-    restricted = sup_norm(aux, Interval(lo, 1.0))
-    satisfied = restricted.value + restricted.err < full.value - full.err
-    c = abs(W.leading)
-    r, f = c * math.sqrt(restricted.value), c * math.sqrt(full.value)
-    if not (math.isfinite(r) and math.isfinite(f)):
-        raise OverflowEvaluationError("the sup of |y^(1/2) W(y)|")
-    return FlippedDecayReport(r, f, degenerate, satisfied)
+    lo = min(10.0 * (2 * k + 1) / n, 1.0)
+    return _decay(aux, aux, Interval(lo, 1.0), abs(W.leading), "the sup of |y^(1/2) W(y)|")
 
 
 @dataclass(frozen=True)

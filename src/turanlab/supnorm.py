@@ -494,7 +494,7 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     given up on, and the rounding bounds of the values join the radius.
     """
     pv = evaluate_many(P, np.linspace(I.lo, I.hi, 5))
-    if np.any(np.abs(pv.imag) > 1e-9 * (1.0 + np.abs(pv))):
+    if np.any(np.abs(pv.imag) > 1e-9 * np.max(np.abs(pv))):
         raise ValueError("total_variation requires a real-valued polynomial "
                          "on the interval")
     if P.degree == 0:
@@ -517,15 +517,15 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     i = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)
     roots = _narrow(lambda xs: derivative_values(P, xs).real,
                     x[i], x[i + 1], dv[i], dv[i + 1], tol)
-    pts = np.unique(np.clip(np.concatenate([x, roots]), I.lo, I.hi))
+    pts = np.unique(np.concatenate([x, roots]))
     (vals,), M, _ = _values(P, pts, 0, tol)
     tv = float(np.sum(np.abs(np.diff(vals.real))))
     md = float(np.max(np.abs(dv)))
     # each value, off by its rounding bound 4(d+2) eps M (plus 2^-1074 where
-    # subnormal), enters two differences; they and their sum round by at
-    # most len(pts) eps tv
+    # subnormal), and each narrowed root's, off by tol max|P'| more, enters
+    # two differences; they and their sum round by at most len(pts) eps tv
     rnd = 4.0 * (P.degree + 2) * _EPS * float(np.sum(M)) + len(pts) * math.ulp(0.0)
-    err = 2.0 * (len(pts) * tol * md + rnd) + len(pts) * _EPS * tv
+    err = 2.0 * (roots.size * tol * md + rnd) + len(pts) * _EPS * tv
     err += float(np.sum(hide[(flat > 0) | given_up]))
     if not math.isfinite(tv + err):
         raise OverflowEvaluationError("the total variation")

@@ -29,7 +29,9 @@ from turanlab.levelsets import _MIN_CELL
 from oracles import (
     grid_measure_large_logderiv,
     grid_measure_small_logderiv,
+    zero_list_grid_max,
     zero_list_level_measure,
+    zero_list_values,
 )
 
 # frozen ahead of implementation: |2x/(x^2-1)| >= 100 near +-1 gives
@@ -222,7 +224,7 @@ def test_incomplete_decay_monomial():
     # S = x^(n-k): |x|^m <= x^(m/2) holds on [0,1]
     S = from_zeros(1.0, [0.0] * 11)
     rep = incomplete_decay_check(S, 12, 1)
-    assert rep.max_violation <= 1e-12
+    assert rep.restricted_sup < rep.full_sup
     assert rep.satisfied
 
 
@@ -253,19 +255,43 @@ def test_flipped_decay_basic():
 
 def test_flipped_decay_degenerate_window():
     rep = flipped_decay_check(from_zeros(-1.0, [1.0]), 2, 1)
-    assert rep.degenerate or rep.satisfied
+    assert rep.vacuous or rep.satisfied
 
 
-@pytest.mark.parametrize("n, zeros", [(20, [1.0] * 19), (40, [1.0] * 39 + [0.2])])
-def test_flipped_decay_scales_with_the_leading_coefficient(n, zeros):
-    # the decision is taken on the monic x (W / leading)^2 alone, so it does
-    # not move with the leading coefficient, and the sups scale by its modulus
-    ref = flipped_decay_check(from_zeros(1.0, zeros), n, 1)
-    for c in (1e-150, 1.0, 1e200, -3 + 4j):
-        rep = flipped_decay_check(from_zeros(c, zeros), n, 1)
-        assert (rep.satisfied, rep.degenerate) == (ref.satisfied, ref.degenerate)
+@pytest.mark.parametrize("check, n, k, zeros", [
+    (flipped_decay_check, 20, 1, [1.0] * 19),
+    (flipped_decay_check, 40, 1, [1.0] * 39 + [0.2]),
+    (incomplete_decay_check, 50, 2, [0.0] * 48 + [0.4 + 0.1j, 0.9 - 0.2j]),
+    (incomplete_decay_check, 60, 2, [0.0] * 58 + [0.7, -0.3]),
+], ids=["flipped-20", "flipped-40", "incomplete-50", "incomplete-60"])
+def test_decay_scales_with_the_leading_coefficient(check, n, k, zeros):
+    # the decision is taken on monic auxiliaries alone, so it does not move
+    # with the leading coefficient, and the sups scale by its modulus
+    ref = check(from_zeros(1.0, zeros), n, k)
+    for c in (1e-200, 1e-150, 1.0, 1e200, -3 + 4j):
+        rep = check(from_zeros(c, zeros), n, k)
+        assert (rep.satisfied, rep.vacuous) == (ref.satisfied, ref.vacuous)
         assert rep.restricted_sup == pytest.approx(abs(c) * ref.restricted_sup, rel=1e-14)
         assert rep.full_sup == pytest.approx(abs(c) * ref.full_sup, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, k, zeros", [
+    (50, 2, [0.0] * 48 + [0.4 + 0.1j, 0.9 - 0.2j]),
+    (60, 2, [0.0] * 58 + [0.7, -0.3]),
+])
+def test_incomplete_decay_sups_match_dense_grid_maxima(n, k, zeros):
+    # restricted_sup = sup |S| / x^((n-k)/2) on [0, 1 - 10k/(n-k)] and
+    # full_sup = ||S||_[0,1]; both peaks sit inside their intervals
+    rep = incomplete_decay_check(from_zeros(1.0, zeros), n, k)
+    hi = 1.0 - 10.0 * k / (n - k)
+    assert rep.interval == Interval(0.0, hi)
+    R = zeros[n - k:]
+    xs = np.linspace(0.0, hi, 200_001)
+    restricted = xs ** ((n - k) / 2) * np.abs(zero_list_values(1.0, R, xs))
+    assert rep.restricted_sup == pytest.approx(float(np.max(restricted)), rel=1e-6)
+    full = zero_list_grid_max(1.0, zeros, 0, m=200_001, lo=0.0, hi=1.0)
+    assert rep.full_sup == pytest.approx(full, rel=1e-6)
+    assert rep.satisfied and rep.restricted_sup < rep.full_sup
 
 
 def test_flipped_decay_regime():

@@ -131,6 +131,14 @@ def test_total_variation_radius_scales_with_the_leading_coefficient(zeros):
         assert cv.err / cv.value == pytest.approx(ref.err / ref.value, rel=1e-2)
 
 
+def test_total_variation_radius_charges_only_the_narrowed_roots():
+    # T_60 = 2^59 prod (x - cos((2j+1) pi/120)) varies by 2 between each of
+    # its 61 extrema: V = 120; its 59 narrowed critical points set the radius
+    zeros = [math.cos((2 * j + 1) * math.pi / 120) for j in range(60)]
+    cv = total_variation(from_zeros(2.0 ** 59, zeros))
+    assert abs(cv.value - 120.0) <= cv.err <= 5e-9 * 120.0
+
+
 def test_total_variation_monotone_case():
     # strictly increasing on [-1,1]: V = P(1) - P(-1)
     P = from_zeros(1.0, [2.0])  # x - 2
@@ -828,3 +836,14 @@ def test_overflow_raises_without_a_warning():
 def test_total_variation_rejects_a_non_real_polynomial():
     with pytest.raises(ValueError, match="requires a real-valued polynomial"):
         total_variation(from_zeros(1.0, [0.5j]))
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e200, -2.0])
+def test_total_variation_real_probe_is_relative(c):
+    # the probe compares Im P with |P| itself, so a scaled non-real P is
+    # rejected at every leading coefficient and a real one accepted
+    with pytest.raises(ValueError, match="requires a real-valued polynomial"):
+        total_variation(from_zeros(c, [0.5j]))
+    # (x^2 + 1/4)(x - 0.3) is increasing: V = |c| (P(1) - P(-1)) = 2.5 |c|
+    cv = total_variation(from_zeros(c, [0.5j, -0.5j, 0.3]))
+    assert cv.value == pytest.approx(2.5 * abs(c), rel=1e-14)
