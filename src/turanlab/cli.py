@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 domain error (one-line diagnostic on stderr),
 2 usage error (argparse).  Floating values in CSV are printed with 17
 significant digits so round-trips are lossless; JSON output is emitted
-with sorted keys so identical invocations are byte-identical.
+with sorted keys so identical invocations are byte-identical.  The parser
+is built from two tables: _OPTIONS holds each option's argparse keywords,
+and _COMMANDS each subcommand's handler, default --format, help line and
+option names in --help order.
 """
 
 from __future__ import annotations
@@ -183,26 +186,49 @@ def _cmd_remark(args):
     }
 
 
-def _add_common(p, *, n=False, k=False, pin=False, seed=False, budget=False,
-                poly=False, interval=False):
-    if n:
-        p.add_argument("--n", type=int, required=True)
-    if k:
-        p.add_argument("--k", type=int, required=True)
-    if pin:
-        p.add_argument("--pin", action="store_true",
-                       help="require a zero on [-1,1]")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    if budget:
-        p.add_argument("--budget", type=int, default=4000)
-        p.add_argument("--restarts", type=int, default=8)
-    if poly:
-        p.add_argument("--poly", help="polynomial JSON file")
-    if interval:
-        p.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"))
-    p.add_argument("--out", help="write output to this path")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+_OPTIONS = {
+    "n": dict(type=int, required=True),
+    "k": dict(type=int, required=True),
+    "pin": dict(action="store_true", help="require a zero on [-1,1]"),
+    "seed": dict(type=int, default=0),
+    "budget": dict(type=int, default=4000),
+    "restarts": dict(type=int, default=8),
+    "poly": dict(help="polynomial JSON file"),
+    "interval": dict(nargs=2, type=float, metavar=("LO", "HI")),
+    "out": dict(help="write output to this path"),
+    "format": dict(choices=("csv", "json")),
+    "delta": dict(type=float, required=True),
+    "alpha": dict(type=float, required=True),
+    "zeros": dict(help="JSON [[re,im],...] as an inline alternative to --poly"),
+    "deg": dict(type=int, help="expected degree (validated)"),
+    "mode": dict(choices=("incomplete", "flipped"), default="incomplete"),
+    "n-values": dict(required=True, help="comma list, e.g. 2,4,8"),
+    "k-values": dict(required=True, help="comma list, e.g. 0,1"),
+    "epsilon": dict(type=float, required=True),
+}
+
+_COMMANDS = {
+    "ratio": (_cmd_ratio, "json", "certified ||P'||/||P|| on an interval",
+              "poly interval out format"),
+    "verdict": (_cmd_verdict, "csv", "ratio vs every applicable bound",
+                "n k pin poly out format"),
+    "sample": (_cmd_sample, "json", "random class member (JSON polynomial)",
+               "n k pin seed out format"),
+    "lemma31": (_cmd_lemma31, "json", "measure of {|Q'/Q| <= n*delta}",
+                "poly interval out format delta"),
+    "lemma32": (_cmd_lemma32, "json", "measure of {|R'/R| >= alpha}",
+                "poly interval out format alpha zeros deg"),
+    "decay": (_cmd_decay, "json", "pointwise decay checks",
+              "n k poly out format mode"),
+    "search": (_cmd_search, "json", "minimize the ratio over a class",
+               "n k pin seed budget restarts out format"),
+    "sweep": (_cmd_sweep, "csv", "grid of searches + scaling summary",
+              "pin seed budget restarts out format n-values k-values"),
+    "construct": (_cmd_construct, "json", "squared-argument pipeline Q->R->P",
+                  "n k seed budget restarts out format"),
+    "remark": (_cmd_remark, "json", "roots-of-unity family (z^m-1)^n",
+               "n out format epsilon"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,64 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "restricted zeros: certified norms, level-set measures, "
                     "bound verdicts, extremal search, constructions.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ratio", help="certified ||P'||/||P|| on an interval")
-    _add_common(p, poly=True, interval=True)
-    p.set_defaults(fn=_cmd_ratio, fmt_default="json")
-
-    p = sub.add_parser("verdict", help="ratio vs every applicable bound")
-    _add_common(p, n=True, k=True, pin=True, poly=True)
-    p.set_defaults(fn=_cmd_verdict, fmt_default="csv")
-
-    p = sub.add_parser("sample", help="random class member (JSON polynomial)")
-    _add_common(p, n=True, k=True, pin=True, seed=True)
-    p.set_defaults(fn=_cmd_sample, fmt_default="json")
-
-    p = sub.add_parser("lemma31", help="measure of {|Q'/Q| <= n*delta}")
-    _add_common(p, poly=True, interval=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.set_defaults(fn=_cmd_lemma31, fmt_default="json")
-
-    p = sub.add_parser("lemma32", help="measure of {|R'/R| >= alpha}")
-    _add_common(p, poly=True, interval=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--zeros", help="JSON [[re,im],...] as an inline "
-                                   "alternative to --poly")
-    p.add_argument("--deg", type=int, help="expected degree (validated)")
-    p.set_defaults(fn=_cmd_lemma32, fmt_default="json")
-
-    p = sub.add_parser("decay", help="pointwise decay checks")
-    _add_common(p, n=True, k=True, poly=True)
-    p.add_argument("--mode", choices=("incomplete", "flipped"),
-                   default="incomplete")
-    p.set_defaults(fn=_cmd_decay, fmt_default="json")
-
-    p = sub.add_parser("search", help="minimize the ratio over a class")
-    _add_common(p, n=True, k=True, pin=True, seed=True, budget=True)
-    p.set_defaults(fn=_cmd_search, fmt_default="json")
-
-    p = sub.add_parser("sweep", help="grid of searches + scaling summary")
-    _add_common(p, pin=True, seed=True, budget=True)
-    p.add_argument("--n-values", required=True, help="comma list, e.g. 2,4,8")
-    p.add_argument("--k-values", required=True, help="comma list, e.g. 0,1")
-    p.set_defaults(fn=_cmd_sweep, fmt_default="csv")
-
-    p = sub.add_parser("construct", help="squared-argument pipeline Q->R->P")
-    _add_common(p, n=True, k=True, seed=True, budget=True)
-    p.set_defaults(fn=_cmd_construct, fmt_default="json")
-
-    p = sub.add_parser("remark", help="roots-of-unity family (z^m-1)^n")
-    _add_common(p, n=True, seed=False)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.set_defaults(fn=_cmd_remark, fmt_default="json")
+    for name, (fn, fmt, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option in options.split():
+            p.add_argument("--" + option, **_OPTIONS[option])
+        p.set_defaults(fn=fn, format=fmt)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.format is None:
-        args.format = args.fmt_default
     try:
         _print(args.fn(args), args)
         return 0

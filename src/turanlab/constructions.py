@@ -116,7 +116,8 @@ def remark_family(epsilon: float, n: int) -> ConstructionReport:
         raise ValueError("needs n >= 1")
     inv = 1.0 / epsilon
     m = 2 * (math.floor(inv / 2.0) + 1)
-    assert m % 2 == 0 and inv < m <= inv + 2.0
+    if not (m % 2 == 0 and inv < m <= inv + 2.0):
+        raise ValueError(f"epsilon {epsilon!r} leaves no even m in (1/eps, 1/eps + 2]")
     zeros = tuple(np.exp(2j * np.pi * j / m) for j in range(m)) * n
     P = from_zeros(1.0, zeros)
     deg = m * n

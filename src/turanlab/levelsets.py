@@ -399,7 +399,7 @@ def logderiv_values(P: Polynomial, xs) -> np.ndarray:
     finite wherever P is nonzero, however small or large P is there."""
     zs = np.asarray(P.zeros, dtype=complex)[:, None]
     x = np.asarray(xs, dtype=complex).ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = _blockwise(lambda x: _inverse_sums(x, zs), zs.size, x)[0]
     out = np.abs(s)
     out[~np.isfinite(out)] = np.inf

@@ -213,6 +213,8 @@ def from_payload(obj: dict) -> Polynomial:
         return complex(v[0], v[1])
     try:
         lead = pair(obj["leading"])
+        if not isinstance(obj["zeros"], list):
+            raise TypeError(f"expected a list of zeros, got {obj['zeros']!r}")
         zeros = tuple(pair(z) for z in obj["zeros"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed polynomial payload: {exc}") from exc

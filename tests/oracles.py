@@ -260,7 +260,7 @@ def zero_list_level_measure(zeros, level, small, m=200_001):
     z = np.asarray(zeros, dtype=complex)
     xs = np.linspace(-1.0, 1.0, m)
     s = np.empty(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for b in _point_blocks(m, z.size):
             diffs = xs[b][None, :] - z[:, None]
             v = np.abs(np.sum(1.0 / diffs, axis=0))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from turanlab import Interval, from_zeros, to_payload, turan_ratio
-from turanlab.cli import main
+from turanlab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -221,12 +221,35 @@ def test_bad_interval_or_payload_is_one_line_domain_error(capsys, tmp_path, argv
     assert err.count("\n") == 1 and err.startswith(message), err
 
 
-@pytest.mark.parametrize("zeros", ['[[1]]', '{"a":1}', '5', '[["a",0]]', '[[1,0,0]]'])
+@pytest.mark.parametrize("zeros", ['[[1]]', '{"a":1}', '5', '[["a",0]]', '[[1,0,0]]',
+                                   '{}', '""'])
 def test_malformed_inline_zeros_is_one_line_domain_error(capsys, zeros):
     # --zeros is read as the zero list of a payload, and checked as one
     code, out, err = run(capsys, "lemma32", "--alpha", "3", "--zeros", zeros)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: malformed polynomial payload: "), err
+
+
+def test_parser_defaults():
+    # every other CLI test passes --budget and --restarts, so only this one
+    # pins their defaults
+    defaults = {"pin": False, "seed": 0, "budget": 4000, "restarts": 8,
+                "mode": "incomplete", "out": None, "poly": None,
+                "interval": None, "zeros": None, "deg": None}
+    seen = set()
+    for argv in (["ratio"], ["verdict", "--n", "1", "--k", "0"],
+                 ["sample", "--n", "1", "--k", "0"], ["lemma31", "--delta", "1"],
+                 ["lemma32", "--alpha", "1"], ["decay", "--n", "1", "--k", "0"],
+                 ["search", "--n", "1", "--k", "0"],
+                 ["sweep", "--n-values", "1", "--k-values", "0"],
+                 ["construct", "--n", "1", "--k", "0"],
+                 ["remark", "--n", "1", "--epsilon", "0.5"]):
+        args = vars(build_parser().parse_args(argv))
+        for name in defaults.keys() & args.keys():
+            value = args[name]
+            assert type(value) is type(defaults[name]) and value == defaults[name], (argv, name)
+            seen.add(name)
+    assert seen == defaults.keys()
 
 
 @pytest.mark.parametrize("argv", [

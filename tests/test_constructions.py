@@ -105,6 +105,9 @@ def test_remark_family_rejects_bad_epsilon():
         remark_family(0.0, 1)
     with pytest.raises(ValueError):
         remark_family(1.5, 1)
+    with pytest.raises(ValueError):
+        # 1/eps + 2 rounds to 1/eps, so no even m lies in (1/eps, 1/eps + 2]
+        remark_family(1e-300, 1)
 
 
 def test_classical_family_even():

@@ -158,7 +158,9 @@ def test_interval_rejects_a_non_finite_endpoint(lo, hi):
 @pytest.mark.parametrize("obj", [{"leading": [1.0]}, {"zeros": []},
                                  {"leading": [1.0, 0.0], "zeros": [0.5]},
                                  {"leading": [1, 0], "zeros": [[0.5, 0, 7]]},
-                                 {"leading": [1, 0], "zeros": [[1, 0, 0]]}])
+                                 {"leading": [1, 0], "zeros": [[1, 0, 0]]},
+                                 {"leading": [1, 0], "zeros": {}},
+                                 {"leading": [1, 0], "zeros": ""}])
 def test_malformed_payload_rejected(obj):
     with pytest.raises(ValueError, match="malformed polynomial payload"):
         from_payload(obj)

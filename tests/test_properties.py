@@ -1,4 +1,5 @@
-"""Property tests of the certified ratio and the verdicts on class members.
+"""Property tests of the certified ratio, the verdicts on class members and
+the level-set measures.
 
 The examples are derived from the test names (derandomize=True) and no
 example database is kept, so every run draws the same inputs.
@@ -6,6 +7,7 @@ example database is kept, so every run draws the same inputs.
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,9 +20,14 @@ from turanlab import (
     Interval,
     evaluate_verdict,
     from_zeros,
+    large_logderiv_measure,
+    logderiv_values,
     sample,
+    small_logderiv_measure,
     turan_ratio,
 )
+
+from oracles import zero_list_level_measure
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -29,6 +36,13 @@ zero_lists = st.lists(st.builds(complex, coord, coord), min_size=1, max_size=8)
 # |c| from 1e-300 to 1e300, at any angle
 leadings = st.builds(lambda e, t: 10.0 ** e * cmath.exp(1j * t),
                      st.floats(-300.0, 300.0), st.floats(0.0, 2.0 * math.pi))
+# up to 10 zeros in the closed upper half-disk: real ones at -1, -1/2, 0, 1/2
+# and 1, repeats included, and others on or just above the axis
+half_disk_zeros = st.lists(
+    st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]).map(complex),
+              st.builds(complex, st.floats(-0.95, 0.95),
+                        st.sampled_from([0.0, 1e-9, 1e-4, 0.3]))),
+    min_size=1, max_size=10)
 
 
 @FIXED
@@ -68,3 +82,20 @@ def test_sampled_members_pass_every_bound(n, data):
     spec = ClassSpec(n, k, data.draw(st.booleans()))
     verdict = evaluate_verdict(sample(spec, seed=data.draw(st.integers(0, 2**32 - 1))), spec)
     assert all(verdict.passes), verdict
+
+
+@FIXED
+@given(half_disk_zeros, st.floats(-1.0, 1.0))
+def test_level_sets_match_the_grid_and_complement_each_other(zeros, x0):
+    # the level is |Q'/Q| at x0, so both sets are proper; the large set is
+    # taken at n * delta, the very level the small set is measured at
+    Q = from_zeros(1.0, zeros)
+    level = logderiv_values(Q, [x0])[0]
+    delta = (level if 0.0 < level < math.inf else 1.0) / Q.degree
+    small = small_logderiv_measure(Q, delta).measure
+    large = large_logderiv_measure(Q, Q.degree * delta).measure
+    for measure, is_small in ((small, True), (large, False)):
+        grid, boundaries, h = zero_list_level_measure(zeros, Q.degree * delta, is_small)
+        assert abs(measure.value - grid) <= measure.err + h * (boundaries + 2), (is_small, measure)
+    total = Fraction(small.value) + Fraction(large.value)
+    assert abs(total - 2) <= Fraction(small.err) + Fraction(large.err), (small, large)
