@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import turan_ratio, turan11_lower
+from .bounds import _quotient, turan_ratio, turan11_lower
 from .classes import ClassSpec, MembershipReport, is_member
 from .errors import RegimeError
 from .poly import Interval, Polynomial, from_zeros
 from .search import SearchConfig, _warm_family, coefficient_search
-from .supnorm import CertifiedValue, argmax_abs_derivative, sup_norm
+from .supnorm import CertifiedValue, _sup_abs, argmax_abs_derivative
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,15 @@ def remark_family(epsilon: float, n: int) -> ConstructionReport:
     zeros = tuple(np.exp(2j * np.pi * j / m) for j in range(m)) * n
     P = from_zeros(1.0, zeros)
     deg = m * n
-    ratio = turan_ratio(P)
+    (norm, norm_err, _), (num, num_err, _) = _sup_abs(P, Interval(), (0, 1))
+    ratio = _quotient(num, num_err, norm, norm_err)
     a = argmax_abs_derivative(P, Interval(0.0, 1.0))
     closed = (m - 1.0) / (m * n - 1.0)
     bound = (inv + 2.0) ** (1.0 - epsilon) * deg ** epsilon
     check = is_member(P, ClassSpec(deg, deg, pin_interval_zero=True))
     details = {
         "m": m,
-        "norm": sup_norm(P).value,
+        "norm": norm,
         "derivative_argmax": a,
         "argmax_power": a ** m,
         "closed_form_argmax_power": closed,

@@ -386,7 +386,7 @@ def mean_value_window_check(P: Polynomial,
     window = Interval(max(I.lo, x0 - half_width), min(I.hi, x0 + half_width))
     ys = np.linspace(window.lo, window.hi, _WINDOW_SAMPLES)
     min_abs = float(np.min(np.abs(evaluate_many(from_zeros(1.0, P.zeros), ys))))
-    ok = min_abs >= 0.5 * den - 1e-9 * (1.0 + den)
+    ok = min_abs >= 0.5 * den * (1.0 - 1e-9)
     c = abs(P.leading)
     min_abs, half_norm = c * min_abs, c * 0.5 * den
     if not (math.isfinite(min_abs) and math.isfinite(half_norm)):

@@ -134,6 +134,7 @@ def _values(P: Polynomial, xs, order: int, w: float | None = None):
     P''/P = s^2 - t.  At a point x0 where mu zeros coincide, P = (x - x0)^mu R
     and P^(j)(x0) = j!/(j - mu)! * R^(j - mu)(x0), with R and its derivatives
     taken from the same sums over the remaining zeros: O(d) per point.
+    Order 0 takes no sums; a value out of range is inf or nan, with no warning.
 
     Given a widening w, it returns (rows, M, E_1) instead: the _majorants
     of the cells [x - w, x + w], from the same differences.
@@ -155,20 +156,18 @@ def _values(P: Polynomial, xs, order: int, w: float | None = None):
         if w is not None:
             M, E = _majorants(P, w, diffs, 1)
             maj[:, sl] = M[:n], E[1][:n]
-        if order == 0:
-            out[0, sl] = (P.leading * np.prod(diffs, axis=0))[:n]
-            continue
         hit = diffs == 0
         mu = hit.sum(axis=0) if hit.any() else None
         if mu is not None:
             diffs[hit] = 1.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv = 1.0 / diffs
-            if mu is not None:
-                inv[hit] = 0.0
             jets = [P.leading * np.prod(diffs, axis=0)]
-            s = np.sum(inv, axis=0)
-            jets.append(jets[0] * s)
+            if order >= 1:
+                inv = 1.0 / diffs
+                if mu is not None:
+                    inv[hit] = 0.0
+                s = np.sum(inv, axis=0)
+                jets.append(jets[0] * s)
             if order >= 2:
                 jets.append(jets[0] * (s * s - np.sum(inv * inv, axis=0)))
         for j in range(order + 1):

@@ -50,7 +50,6 @@ from .poly import (
     _majorants,
     _values,
     derivative_values,
-    evaluate_many,
 )
 
 # _refine gives up on every live cell once the live cells times the degree
@@ -485,25 +484,26 @@ def argmax_abs_derivative(P: Polynomial, I: Interval = Interval()) -> float:
 def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """V_a^b(P) = integral of |P'|, summed exactly between critical points.
 
-    Requires P real-valued on I (checked at probe points).  Grid cells are
-    bisected until the Taylor series of P on each (_series) proves it holds
-    no root of P' or at most one, or that the variation it can hide,
-    2r sup|P'|, is below 4 times the rounding bound of P there.  The sign
-    changes of P' are narrowed to 1e-12 and the cell ends stay in as
-    breakpoints.  The variation the final cells can hide, where flat or
-    given up on, and the rounding bounds of the values join the radius.
+    Grid cells are bisected until the Taylor series of P on each (_series)
+    proves it holds no root of P' or at most one, or that the variation it
+    can hide, 2r sup|P'|, is below 4 times the rounding bound of P there.
+    P must be real on I: a cell raises ValueError where an imaginary Taylor
+    coefficient passes its rounding bound 4(d+2) eps M (r E_1)^j by
+    1e-9 M (r E_1)^j plus 4(d+2) 2^-1074, for roundings below 2^-1022.  The
+    sign changes of P' are narrowed to 1e-12 and the cell ends stay in as
+    breakpoints.  The variation the final cells can hide, where flat or given
+    up on, and the rounding bounds of the values join the radius.
     """
-    pv = evaluate_many(P, np.linspace(I.lo, I.hi, 5))
-    if np.any(np.abs(pv.imag) > 1e-9 * np.max(np.abs(pv))):
-        raise ValueError("total_variation requires a real-valued polynomial "
-                         "on the interval")
     if P.degree == 0:
         return CertifiedValue(0.0, 0.0)
-    tol = 1e-12
+    tol, slack = 1e-12, 1.0 + 1e-9 / (4.0 * (P.degree + 2) * _EPS)
 
     def test(a, b, full):
         """(accepted, record (hide, flat), near) per cell."""
         c, err, tail = _series(P, a, b, (0,), full)[0]
+        if np.any(np.abs(c.imag) > err * slack + 4.0 * (P.degree + 2) * math.ulp(0.0)):
+            raise ValueError("total_variation requires a real-valued polynomial "
+                             "on the interval")
         c = c.real
         s = (np.abs(c) + err) @ np.arange(c.shape[1])
         hide, below = 2.0 * (s + tail[1]), 4.0 * err[:, 0]

@@ -7,14 +7,17 @@ import pytest
 
 from turanlab import (
     ClassSpec,
+    Interval,
     RegimeError,
     SearchConfig,
     classical_family,
     is_member,
     remark_family,
+    sup_norm,
     thm24_construct,
     turan_ratio,
 )
+from turanlab import bounds, constructions, supnorm
 
 from oracles import squared_argument_min_ratio
 
@@ -98,6 +101,24 @@ def test_remark_family_closed_form_argmax():
 def test_remark_family_membership():
     rep = remark_family(0.3, 3)
     assert rep.class_check.ok
+
+
+def test_remark_family_makes_two_passes_of_the_sup_engine(monkeypatch):
+    # ||P|| and the ratio come from one pass on [-1, 1], the argmax of |P'|
+    # from one on [0, 1]; the numbers are those of the public functions
+    calls, engine = [], supnorm._sup_abs
+
+    def counted(P, I, orders):
+        calls.append((I, orders))
+        return engine(P, I, orders)
+
+    for module in (supnorm, bounds, constructions):
+        monkeypatch.setattr(module, "_sup_abs", counted, raising=False)
+    rep = remark_family(0.3, 2)
+    assert calls == [(Interval(), (0, 1)), (Interval(0.0, 1.0), (1,))]
+    monkeypatch.undo()
+    assert rep.ratio == turan_ratio(rep.P)
+    assert rep.details["norm"] == sup_norm(rep.P).value
 
 
 def test_remark_family_rejects_bad_epsilon():

@@ -337,6 +337,34 @@ def test_mean_value_window_overflow_raises():
             mean_value_window_check(from_zeros(1e308, [3.0, 3.0, 3.0]))
 
 
+def test_mean_value_window_margin_is_relative(monkeypatch):
+    # monic T_40 has sup 2^-39, below an absolute margin of 1e-9: with |P|
+    # read as 0 on the window, it must fail as a degree-3 P does
+    T40 = from_zeros(1.0, [math.cos((2 * j + 1) * math.pi / 80) for j in range(40)])
+    assert mean_value_window_check(T40).satisfied
+    monkeypatch.setattr(levelsets, "evaluate_many",
+                        lambda P, ys: np.zeros(len(ys), dtype=complex))
+    for P in (from_zeros(1.0, [0.3, -0.5, 2.0]), T40):
+        assert not mean_value_window_check(P).satisfied
+
+
+def test_large_level_set_of_real_zeros_is_booles_2k_over_alpha():
+    # Boole's identity: for real zeros a_1..a_k (repeats counted), the set
+    # {x : |sum 1/(x - a_i)| >= alpha} has measure exactly 2k/alpha; it lies
+    # in [-1, 1] when every a_i lies in [-1 + k/alpha, 1 - k/alpha], since
+    # |sum 1/(x - a_i)| <= k / min |x - a_i|
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        k = int(rng.integers(1, 40))
+        alpha = rng.uniform(4 * k, 50 * k)
+        zeros = rng.uniform(-1 + k / alpha, 1 - k / alpha, k)
+        if k > 1 and rng.random() < 0.3:
+            zeros[-1] = zeros[0]
+        m = large_logderiv_measure(from_zeros(1.0, zeros), alpha).measure
+        gap = abs(Fraction(m.value) - Fraction(2 * k) / Fraction(alpha))
+        assert gap <= Fraction(m.err), (k, alpha, list(zeros), m)
+
+
 def test_mean_value_window():
     rng = np.random.Generator(np.random.Philox(key=np.uint64(40)))
     for i in range(10):

@@ -838,6 +838,27 @@ def test_total_variation_rejects_a_non_real_polynomial():
         total_variation(from_zeros(1.0, [0.5j]))
 
 
+def test_total_variation_rejects_a_polynomial_non_real_between_samples():
+    # Im P = 0.2 prod (x - t) over t = -1, -1/2, 0, 1/2, 1 reaches 1.4% of
+    # max|P| on [-1, 1] but vanishes at those five points; the cell series
+    # of P sees it between them
+    c = np.poly([0.3, -0.2, 0.7, -0.5, 0.9, -0.1, 0.05]).astype(complex)
+    c[-6:] += 0.2j * np.poly(np.linspace(-1, 1, 5))
+    P = from_zeros(c[0], np.roots(c))
+    with pytest.raises(ValueError, match="requires a real-valued polynomial"):
+        total_variation(P)
+
+
+def test_total_variation_accepts_a_real_polynomial_whose_cells_underflow():
+    # beside the 7-fold zero, cells 1e-12 wide give Taylor coefficients below
+    # 2^-1022, whose relative rounding bounds underflow to 0 while their
+    # imaginary parts keep a rounding of 2^-1074
+    zeros = [0.25] * 7 + [0.5 + 0.5j, 0.5 - 0.5j]
+    ref = total_variation(from_zeros(1.0, zeros))
+    cv = total_variation(from_zeros(1e-250, zeros))
+    assert cv.value == pytest.approx(1e-250 * ref.value, rel=1e-12)
+
+
 @pytest.mark.parametrize("c", [1e-20, 1.0, 1e200, -2.0])
 def test_total_variation_real_probe_is_relative(c):
     # the probe compares Im P with |P| itself, so a scaled non-real P is
