@@ -26,6 +26,7 @@ from .poly import Interval, Polynomial, _blockwise, evaluate_many, from_zeros
 from .supnorm import (
     _EPS,
     CertifiedValue,
+    _absolute,
     _cheb_grid,
     _refine,
     _sup_abs,
@@ -377,7 +378,7 @@ def mean_value_window_check(P: Polynomial,
                             I: Interval = Interval()) -> MeanValueReport:
     """Around a maximizer x0 of |P|, check |P(y)| >= ||P||/2 for
     |y - x0| <= 1/(2M) with M = ||P'||/||P||, decided on the monic P / leading
-    as flipped_decay_check is; min_abs and half_norm scale by |leading|."""
+    as flipped_decay_check is; _absolute scales min_abs and half_norm back."""
     (den, _, x0), (num, _, _) = _sup_abs(P, I, (0, 1))
     if den == 0:
         raise ValueError("vanishing sup-norm denominator")
@@ -387,11 +388,8 @@ def mean_value_window_check(P: Polynomial,
     ys = np.linspace(window.lo, window.hi, _WINDOW_SAMPLES)
     min_abs = float(np.min(np.abs(evaluate_many(from_zeros(1.0, P.zeros), ys))))
     ok = min_abs >= 0.5 * den * (1.0 - 1e-9)
-    c = abs(P.leading)
-    min_abs, half_norm = c * min_abs, c * 0.5 * den
-    if not (math.isfinite(min_abs) and math.isfinite(half_norm)):
-        raise OverflowEvaluationError("the sup norm of P")
-    return MeanValueReport(M, window, min_abs, half_norm, ok)
+    return MeanValueReport(M, window, *(_absolute(P, v, 0.0, "the sup norm of P").value
+                                        for v in (min_abs, 0.5 * den)), ok)
 
 
 def logderiv_values(P: Polynomial, xs) -> np.ndarray:

@@ -53,13 +53,8 @@ from .classes import (
     incomplete_member,
 )
 from .errors import SearchFailure, TuranLabError
-from .poly import Interval, Polynomial, evaluate, from_zeros
-from .supnorm import (
-    CertifiedValue,
-    _cheb_grid,
-    sup_norm_derivative,
-    total_variation,
-)
+from .poly import Interval, Polynomial, from_zeros
+from .supnorm import CertifiedValue, _cheb_grid, _sup_abs, _variation
 
 # Nelder-Mead: initial simplex x0 + _SIMPLEX_SCALE * e_i, and the spread of
 # simplex values at which a descent stops.
@@ -418,21 +413,21 @@ def minimize_incomplete_ratio(spec: IncompleteSpec,
             den = np.sum(np.abs(np.diff(q, axis=1)), axis=1)
         return np.max(np.abs(dq), axis=1), den
 
+    @np.errstate(divide="ignore")   # a zero at y = 1 gives M = 0, E_1 = inf
     def certify(Q):
+        # on Q / |leading|, as turan_ratio; |Q(1)| has the kernel's 4(d+2) eps M
         if not incomplete_member(Q, spec):
             return None
         if denominator == "sup":
             return turan_ratio(Q, interval)
-        num = sup_norm_derivative(Q, interval)
+        (num, num_err, _), = _sup_abs(Q, interval, (1,))
+        U = Polynomial(Q.leading / abs(Q.leading), Q.zeros)
         if denominator == "point":
-            den_v = abs(evaluate(Q, 1.0))
-            den_e = 16 * np.finfo(float).eps * den_v
+            (q1,), M, _ = poly._values(U, [1.0], 0, 0.0)
+            den = abs(complex(q1[0])), 4.0 * (Q.degree + 2) * poly._EPS * float(M[0])
         else:
-            d = total_variation(Q, interval)
-            den_v, den_e = d.value, d.err
-        if den_v <= 0:
-            return None
-        return _quotient(num.value, num.err, den_v, den_e)
+            den = _variation(U, interval)
+        return None if den[0] <= 0 else _quotient(num, num_err, *den)
 
     (cert, Q, c), evals, trace = coefficient_search(
         m, k, cfg, lambda ys: parts, certify)
@@ -502,14 +497,13 @@ def frontier_sweep(n_values, k_values, cfg: SearchConfig = SearchConfig(),
                    if r.result.ratio.value > 0])
     if len(set(np.round(xs, 12))) >= 2 and len(xs) == len(ys):
         slope = float(np.polyfit(xs, ys, 1)[0])
-    mono_n = {}
-    for k in k_values:
-        cells = [(r.n, r.result.ratio.value) for r in good if r.k == k]
-        if cells:
-            mono_n[k] = _direction([v for _, v in sorted(cells)])
-    mono_k = {}
-    for n in n_values:
-        cells = [(r.k, r.result.ratio.value) for r in good if r.n == n]
-        if cells:
-            mono_k[n] = _direction([v for _, v in sorted(cells)])
-    return SweepTable(tuple(rows), slope, mono_n, mono_k)
+    return SweepTable(tuple(rows), slope, _monotone(good, "k"), _monotone(good, "n"))
+
+
+def _monotone(rows, key: str) -> dict:
+    """{v: _direction of the ratios of the rows with key v}, v ascending; rows
+    in ascending (n, k) order run along the other axis in each group."""
+    groups = {}
+    for r in rows:
+        groups.setdefault(getattr(r, key), []).append(r.result.ratio.value)
+    return {v: _direction(groups[v]) for v in sorted(groups)}

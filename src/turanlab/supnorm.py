@@ -20,7 +20,7 @@ roots, all evaluated in factored form, is the value; its radius is
 64(d+1) eps times the value, plus the rounding bound of the values
 (P' = P sum 1/(x - z_i) can cancel) and whatever a flat maximum or a cell
 given up on could still hide.  Total variation uses the same cell test on
-the roots of P'.
+the roots of P'.  Both run on P / |leading|; _absolute alone scales back.
 
 Memory grows linearly with the degree: every array that pairs the zeros
 with points or cells is built a block at a time.  The value kernel takes
@@ -447,22 +447,22 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     return list(out.values())
 
 
-def _absolute(P: Polynomial, I: Interval, o: int) -> CertifiedValue:
-    """max |P^(o)| on I: _sup_abs scaled back by |leading| once.  The
-    rounding of |leading| and of both products (2 eps relative, padded to
-    4 eps, or 2^-1074 absolute where subnormal) joins the radius."""
-    value, err, _ = _sup_abs(P, I, (o,))[0]
+def _absolute(P: Polynomial, value: float, err: float, what: str) -> CertifiedValue:
+    """(value, err) certified for P / |leading|, scaled back by |leading|:
+    the one scale-back of every certified number.  The rounding of |leading|
+    and of both products (2 eps relative, padded to 4 eps, or 2^-1074
+    absolute where subnormal) joins the radius; what names the number."""
     c = abs(P.leading)
     value, err = c * value, c * err
     err += 4.0 * _EPS * (value + err) + math.ulp(0.0)
     if not math.isfinite(value + err):
-        raise OverflowEvaluationError("the sup norm of P" + "'" * o)
+        raise OverflowEvaluationError(what)
     return CertifiedValue(value, err)
 
 
 def sup_norm(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """Certified max of |P| over I."""
-    return _absolute(P, I, 0)
+    return _absolute(P, *_sup_abs(P, I, (0,))[0][:2], "the sup norm of P")
 
 
 def argmax_abs(P: Polynomial, I: Interval = Interval()) -> float:
@@ -472,7 +472,7 @@ def argmax_abs(P: Polynomial, I: Interval = Interval()) -> float:
 
 def sup_norm_derivative(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
     """Certified max of |P'| over I, from the zero list of P."""
-    return _absolute(P, I, 1)
+    return _absolute(P, *_sup_abs(P, I, (1,))[0][:2], "the sup norm of P'")
 
 
 def argmax_abs_derivative(P: Polynomial, I: Interval = Interval()) -> float:
@@ -480,28 +480,35 @@ def argmax_abs_derivative(P: Polynomial, I: Interval = Interval()) -> float:
     return _sup_abs(P, I, (1,))[0][2]
 
 
-@np.errstate(over="ignore", invalid="ignore")   # an overflow raises below
 def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
-    """V_a^b(P) = integral of |P'|, summed exactly between critical points.
+    """V_a^b(P) = integral of |P'|: _variation on P / |leading|, scaled back."""
+    if P.degree == 0:
+        return CertifiedValue(0.0, 0.0)
+    U = Polynomial(P.leading / abs(P.leading), P.zeros)
+    return _absolute(P, *_variation(U, I), "the total variation")
 
-    Grid cells are bisected until the Taylor series of P on each (_series)
-    proves it holds no root of P' or at most one, or that the variation it
-    can hide, 2r sup|P'|, is below 4 times the rounding bound of P there.
-    P must be real on I: a cell raises ValueError where an imaginary Taylor
+
+@np.errstate(over="ignore", invalid="ignore")   # _absolute raises on overflow
+def _variation(U: Polynomial, I: Interval) -> tuple:
+    """(value, err) of V_a^b(U), U of degree >= 1 with |leading| = 1, summed
+    exactly between critical points.
+
+    Grid cells are bisected until the Taylor series of U on each (_series)
+    proves it holds no root of U' or at most one, or that the variation it
+    can hide, 2r sup|U'|, is below 4 times the rounding bound of U there.
+    U must be real on I: a cell raises ValueError where an imaginary Taylor
     coefficient passes its rounding bound 4(d+2) eps M (r E_1)^j by
     1e-9 M (r E_1)^j plus 4(d+2) 2^-1074, for roundings below 2^-1022.  The
-    sign changes of P' are narrowed to 1e-12 and the cell ends stay in as
+    sign changes of U' are narrowed to 1e-12 and the cell ends stay in as
     breakpoints.  The variation the final cells can hide, where flat or given
     up on, and the rounding bounds of the values join the radius.
     """
-    if P.degree == 0:
-        return CertifiedValue(0.0, 0.0)
-    tol, slack = 1e-12, 1.0 + 1e-9 / (4.0 * (P.degree + 2) * _EPS)
+    tol, slack = 1e-12, 1.0 + 1e-9 / (4.0 * (U.degree + 2) * _EPS)
 
     def test(a, b, full):
         """(accepted, record (hide, flat), near) per cell."""
-        c, err, tail = _series(P, a, b, (0,), full)[0]
-        if np.any(np.abs(c.imag) > err * slack + 4.0 * (P.degree + 2) * math.ulp(0.0)):
+        c, err, tail = _series(U, a, b, (0,), full)[0]
+        if np.any(np.abs(c.imag) > err * slack + 4.0 * (U.degree + 2) * math.ulp(0.0)):
             raise ValueError("total_variation requires a real-valued polynomial "
                              "on the interval")
         c = c.real
@@ -512,21 +519,18 @@ def total_variation(P: Polynomial, I: Interval = Interval()) -> CertifiedValue:
         # near: the cell would be flat but for the remainder
         return simple | flat, np.array([hide, flat]), 2.0 * s <= below
 
-    x, (hide, flat), given_up = _cells(P, I, tol, test)
-    dv = derivative_values(P, x).real
+    x, (hide, flat), given_up = _cells(U, I, tol, test)
+    dv = derivative_values(U, x).real
     i = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)
-    roots = _narrow(lambda xs: derivative_values(P, xs).real,
+    roots = _narrow(lambda xs: derivative_values(U, xs).real,
                     x[i], x[i + 1], dv[i], dv[i + 1], tol)
     pts = np.unique(np.concatenate([x, roots]))
-    (vals,), M, _ = _values(P, pts, 0, tol)
+    (vals,), M, _ = _values(U, pts, 0, tol)
     tv = float(np.sum(np.abs(np.diff(vals.real))))
     md = float(np.max(np.abs(dv)))
     # each value, off by its rounding bound 4(d+2) eps M (plus 2^-1074 where
-    # subnormal), and each narrowed root's, off by tol max|P'| more, enters
+    # subnormal), and each narrowed root's, off by tol max|U'| more, enters
     # two differences; they and their sum round by at most len(pts) eps tv
-    rnd = 4.0 * (P.degree + 2) * _EPS * float(np.sum(M)) + len(pts) * math.ulp(0.0)
+    rnd = 4.0 * (U.degree + 2) * _EPS * float(np.sum(M)) + len(pts) * math.ulp(0.0)
     err = 2.0 * (roots.size * tol * md + rnd) + len(pts) * _EPS * tv
-    err += float(np.sum(hide[(flat > 0) | given_up]))
-    if not math.isfinite(tv + err):
-        raise OverflowEvaluationError("the total variation")
-    return CertifiedValue(tv, err)
+    return tv, err + float(np.sum(hide[(flat > 0) | given_up]))

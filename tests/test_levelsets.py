@@ -324,8 +324,9 @@ def test_mean_value_window_scales_with_the_leading_coefficient():
     for c in (1e-300, 1.0, 1e300, -3 + 4j):
         rep = mean_value_window_check(from_zeros(c, zeros))
         assert rep.satisfied == ref.satisfied
-        assert rep.min_abs == pytest.approx(abs(c) * ref.min_abs, rel=1e-14)
-        assert rep.half_norm == pytest.approx(abs(c) * ref.half_norm, rel=1e-14)
+        # abs=0: approx's default absolute 1e-12 would pass anything at 1e-300
+        assert rep.min_abs == pytest.approx(abs(c) * ref.min_abs, rel=1e-14, abs=0)
+        assert rep.half_norm == pytest.approx(abs(c) * ref.half_norm, rel=1e-14, abs=0)
 
 
 def test_mean_value_window_overflow_raises():

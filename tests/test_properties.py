@@ -27,7 +27,7 @@ from turanlab import (
     turan_ratio,
 )
 
-from oracles import zero_list_level_measure
+from oracles import zero_list_grid_max, zero_list_level_measure, zero_list_sup_upper
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -43,6 +43,12 @@ half_disk_zeros = st.lists(
               st.builds(complex, st.floats(-0.95, 0.95),
                         st.sampled_from([0.0, 1e-9, 1e-4, 0.3]))),
     min_size=1, max_size=10)
+# up to 12 zeros: at -1, 1 and 1/2, repeats included, or near the real axis
+near_real_zeros = st.lists(
+    st.one_of(st.sampled_from([-1.0, 1.0, 0.5]).map(complex),
+              st.builds(complex, st.floats(-1.2, 1.2),
+                        st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.3]))),
+    min_size=1, max_size=12)
 
 
 @FIXED
@@ -59,6 +65,18 @@ def test_ratio_is_symmetric_under_reflection(zeros):
     a = turan_ratio(from_zeros(1.0, zeros))
     b = turan_ratio(from_zeros(1.0, [-z.conjugate() for z in zeros]))
     assert abs(a.value - b.value) <= a.err + b.err
+
+
+@settings(FIXED, max_examples=40)
+@given(near_real_zeros)
+def test_ratio_meets_the_oracle_bracket_on_near_real_and_repeated_zeros(zeros):
+    # grid maxima bound each norm from below and Ehlich-Zeller from above,
+    # so ||P'||/||P|| lies in [grid(P') / upper(P), upper(P') / grid(P)]
+    cv = turan_ratio(from_zeros(1.0, zeros))
+    lo = zero_list_grid_max(1.0, zeros, 1) / zero_list_sup_upper(1.0, zeros, 0)
+    hi = zero_list_sup_upper(1.0, zeros, 1) / zero_list_grid_max(1.0, zeros, 0)
+    assert cv.value - cv.err <= hi and cv.value + cv.err >= lo, (cv, lo, hi)
+    assert cv.err <= 1e-9 * cv.value, cv
 
 
 @FIXED

@@ -148,6 +148,30 @@ def test_incomplete_rejects_bad_variant():
                                   denominator="nope")
 
 
+@pytest.mark.parametrize("denominator", ["point", "variation"])
+def test_incomplete_ratio_does_not_depend_on_the_leading_coefficient(monkeypatch, denominator):
+    # both ratios are taken on Q / |leading|, as turan_ratio's are: |Q(1)|
+    # and V_0^1(Q) then round alike for Q and cQ, as ||Q'|| does
+    seen = []
+
+    def spy(m, k, cfg, estimate, certify):
+        seen.append(certify)
+        raise SearchFailure("captured")
+
+    monkeypatch.setattr(search, "coefficient_search", spy)
+    with pytest.raises(SearchFailure):
+        minimize_incomplete_ratio(IncompleteSpec(6, 3), FAST, denominator)
+    zeros = [0.0] * 7 + [0.3 + 0.2j, 0.3 - 0.2j]
+    ref = seen[0](from_zeros(1.0, zeros))
+    assert type(ref.value) is float and type(ref.err) is float
+    assert 0.0 < ref.err <= 1e-12 * ref.value
+    for c in (2.0 ** -900, 1e-250, 1e250, 3.0):
+        assert seen[0](from_zeros(c, zeros)) == ref, c
+    # a zero at y = 1 leaves no point ratio to certify, and warns nothing
+    on_one = seen[0](from_zeros(1.0, [0.0] * 7 + [1.0, 0.5]))
+    assert (on_one is None) == (denominator == "point")
+
+
 def test_frontier_sweep_shape_and_determinism():
     cfg = SearchConfig(budget=600, restarts=2, seed=11)
     t1 = frontier_sweep([2, 4], [0, 1], cfg)

@@ -116,19 +116,26 @@ def test_total_variation_of_a_constant_is_exactly_zero():
 
 
 @pytest.mark.parametrize("zeros", [[0.3, -0.4, 0.5 + 0.2j, 0.5 - 0.2j],
-                                   [math.cos((2 * j + 1) * math.pi / 120) for j in range(60)]])
+                                   [math.cos((2 * j + 1) * math.pi / 120) for j in range(60)],
+                                   [0.25] * 7 + [0.5 + 0.5j, 0.5 - 0.5j],
+                                   [0.25] * 15 + [0.5 + 0.5j, 0.5 - 0.5j]])
 def test_total_variation_radius_scales_with_the_leading_coefficient(zeros):
     # the radius comes from rounding bounds relative to P, so it scales with
     # the leading coefficient as the value does: at monic T_60 (V = 2.1e-16)
-    # an absolute floor would leave it thousands of times the value
+    # an absolute floor would leave it thousands of times the value.  The
+    # variation is taken on P / |leading| and scaled back once, so beside
+    # the repeated zero at 0.25 no cell series of a tiny P underflows
     ref = total_variation(from_zeros(1.0, zeros))
     assert ref.err <= 1e-7 * ref.value, ref
-    for c in (1e-250, 1e-20, 1e-10, 1e200, -3.0):
+    for c in (1e-300, 1e-250, 1e-150, 1e-20, 1e-10, 1e200, -3.0):
+        if abs(c) * ref.value < 2.0 ** -1022:
+            continue    # T_60 at 1e-300: a subnormal value has no relative radius
         cv = total_variation(from_zeros(c, zeros))
-        assert cv.value == pytest.approx(abs(c) * ref.value, rel=1e-12)
-        # the scaled values round differently, which can move a cell test
-        # that sits on its margin, and with it the radius by a little
-        assert cv.err / cv.value == pytest.approx(ref.err / ref.value, rel=1e-2)
+        assert type(cv.value) is float and type(cv.err) is float
+        # abs=0: approx's default absolute 1e-12 would pass any two radii
+        # below it, and any two values of a tiny P
+        assert cv.value == pytest.approx(abs(c) * ref.value, rel=4 * 2.0 ** -52, abs=0)
+        assert cv.err / cv.value == pytest.approx(ref.err / ref.value, rel=1e-9, abs=0)
 
 
 def test_total_variation_radius_charges_only_the_narrowed_roots():
