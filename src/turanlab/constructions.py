@@ -108,7 +108,8 @@ def remark_family(epsilon: float, n: int) -> ConstructionReport:
     All mn zeros sit on the unit circle, the sup-norm on [-1,1] is 1, the
     maximizer a of |P'| on [0,1] satisfies a^m = (m-1)/(mn-1), and the
     derivative ratio stays below (1/eps + 2)^(1-eps) * (mn)^eps -- slower
-    than any fixed power >= 1/2 of the degree, which is the point.
+    than any fixed power >= 1/2 of the degree, which is the point.  The
+    degree mn may not pass 5000, as the engine's cost grows with it.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("needs 0 < epsilon <= 1")
@@ -118,12 +119,15 @@ def remark_family(epsilon: float, n: int) -> ConstructionReport:
     m = 2 * (math.floor(inv / 2.0) + 1)
     if not (m % 2 == 0 and inv < m <= inv + 2.0):
         raise ValueError(f"epsilon {epsilon!r} leaves no even m in (1/eps, 1/eps + 2]")
+    if m * n > 5000:
+        raise ValueError(f"degree m*n = {m * n} exceeds 5000, the largest remark builds")
     zeros = tuple(np.exp(2j * np.pi * j / m) for j in range(m)) * n
     P = from_zeros(1.0, zeros)
     deg = m * n
-    (norm, norm_err, _), (num, num_err, _) = _sup_abs(P, Interval(), (0, 1))
+    # P is even and |P'| peaks on [0, 1] at a alone: on [-1, 1], leftmost at -a
+    (norm, norm_err, _), (num, num_err, a) = _sup_abs(P, Interval(), (0, 1))
     ratio = _quotient(num, num_err, norm, norm_err)
-    a = argmax_abs_derivative(P, Interval(0.0, 1.0))
+    a = abs(a)
     closed = (m - 1.0) / (m * n - 1.0)
     bound = (inv + 2.0) ** (1.0 - epsilon) * deg ** epsilon
     check = is_member(P, ClassSpec(deg, deg, pin_interval_zero=True))

@@ -15,10 +15,11 @@ class MembershipError(TuranLabError):
 
 class OverflowEvaluationError(TuranLabError):
     """Raised when a certified number, or what it is computed from, is not
-    a finite float."""
+    a finite float, or (below) is too small for the engine to certify."""
 
-    def __init__(self, what="a value of P"):
-        super().__init__(f"{what} exceeds the floating-point range on the interval")
+    def __init__(self, what="a value of P", below=False):
+        limit = "falls below 2^-511" if below else "exceeds the floating-point range"
+        super().__init__(f"{what} {limit} on the interval")
 
 
 class SearchFailure(TuranLabError):

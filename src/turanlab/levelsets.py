@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .classes import ClassSpec, _zeros_at, is_member
-from .errors import MembershipError, OverflowEvaluationError
+from .errors import MembershipError
 from .poly import Interval, Polynomial, _blockwise, evaluate_many, from_zeros
 from .supnorm import (
     _EPS,
@@ -62,15 +62,14 @@ class LevelSetReport:
 
 @dataclass(frozen=True)
 class DecayReport:
-    restricted_sup: float | None
-    full_sup: float | None
-    interval: Interval | None
+    restricted_sup: float
+    full_sup: float
+    interval: Interval
     vacuous: bool
     satisfied: bool
 
     def to_payload(self) -> dict:
-        iv = self.interval
-        return asdict(self) | {"interval": None if iv is None else [iv.lo, iv.hi]}
+        return asdict(self) | {"interval": [self.interval.lo, self.interval.hi]}
 
 
 def _inverse_sums(x, zs):
@@ -315,16 +314,14 @@ def large_logderiv_measure(R: Polynomial, alpha: float,
     return LevelSetReport(measure, bound, alpha, satisfied, intervals)
 
 
-def _decay(restricted: Polynomial, full: Polynomial, I: Interval, scale: float, what: str):
-    """DecayReport of sup_I |restricted| < sup_[0,1] |full|, each monic and the
-    square of a checked sup over scale^2, by certified sup norms; the sups
-    are reported as square roots times scale, and a one-point I as vacuous."""
+def _decay(restricted: Polynomial, full: Polynomial, I: Interval, P: Polynomial, what: str):
+    """DecayReport of sup_I |restricted| < sup_[0,1] |full|, by certified sup
+    norms of these monic polynomials, whose sups are the squares of the
+    checked sups of P / |leading|; the sups are reported as square roots
+    scaled back by _absolute, and a one-point I as vacuous."""
     r, f = sup_norm(restricted, I), sup_norm(full, Interval(0.0, 1.0))
-    satisfied = r.value + r.err < f.value - f.err
-    r, f = scale * math.sqrt(r.value), scale * math.sqrt(f.value)
-    if not (math.isfinite(r) and math.isfinite(f)):
-        raise OverflowEvaluationError(what)
-    return DecayReport(r, f, I, I.lo == I.hi, satisfied)
+    return DecayReport(*(_absolute(P, math.sqrt(v.value), 0.0, what).value for v in (r, f)),
+                       I, I.lo == I.hi, r.value + r.err < f.value - f.err)
 
 
 def incomplete_decay_check(S: Polynomial, n: int, k: int) -> DecayReport:
@@ -332,20 +329,18 @@ def incomplete_decay_check(S: Polynomial, n: int, k: int) -> DecayReport:
 
     S must factor as x^(n-k) * R with deg R <= k (its n-k zeros nearest 0
     count as 0): the sups of x^(n-k) R^2 there and x^(2(n-k)) R^2 on [0, 1]
-    decide it.  An empty interval (10k >= n-k) is a vacuous pass.
+    decide it.  Where 10k >= n-k the interval is [0, 0], which is vacuous.
     """
     if not (1 <= k <= n - 1):
         raise ValueError(f"needs 1 <= k <= n-1, got n={n}, k={k}")
     if S.degree > n or _zeros_at(S, 0.0) < n - k:
         raise MembershipError(
             f"shape mismatch: need degree <= {n} with >= {n - k} zeros at 0")
-    hi = 1.0 - 10.0 * k / (n - k)
-    if hi <= 0.0:
-        return DecayReport(None, None, None, True, True)
+    hi = max(1.0 - 10.0 * k / (n - k), 0.0)
     R2 = 2 * sorted(S.zeros, key=abs)[n - k:]
     return _decay(from_zeros(1.0, [0.0] * (n - k) + R2),
                   from_zeros(1.0, [0.0] * (2 * (n - k)) + R2),
-                  Interval(0.0, hi), abs(S.leading), "the sup of |S(x)| / x^((n-k)/2)")
+                  Interval(0.0, hi), S, "the sup of |S(x)| / x^((n-k)/2)")
 
 
 def flipped_decay_check(W: Polynomial, n: int, k: int) -> DecayReport:
@@ -362,7 +357,7 @@ def flipped_decay_check(W: Polynomial, n: int, k: int) -> DecayReport:
             f"shape mismatch: need degree <= {n} with >= {n - k} zeros at 1")
     aux = from_zeros(1.0, W.zeros + W.zeros + (0.0,))
     lo = min(10.0 * (2 * k + 1) / n, 1.0)
-    return _decay(aux, aux, Interval(lo, 1.0), abs(W.leading), "the sup of |y^(1/2) W(y)|")
+    return _decay(aux, aux, Interval(lo, 1.0), W, "the sup of |y^(1/2) W(y)|")
 
 
 @dataclass(frozen=True)

@@ -440,8 +440,10 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
         value = float(np.max(vals[o]))
         bound = vals[o] + 4.0 * (P.degree + 2) * _EPS * M * E[o]
         excess = max(float(ceiling[i]), float(np.max(bound)))
-        if not (np.all(np.isfinite(vals[o])) and np.isfinite(excess)):
-            raise OverflowEvaluationError("the sup norm of P" + "'" * o + " / leading")
+        # below 2^-511 the cell test's |F|^2 and the products over the zeros underflow
+        below = value < 2.0 ** -511 and I.lo < I.hi
+        if below or not (np.all(np.isfinite(vals[o])) and np.isfinite(excess)):
+            raise OverflowEvaluationError("the sup norm of P" + "'" * o + " / leading", below)
         argmax = float(np.min(pts[vals[o] >= value * (1.0 - 64.0 * _EPS)]))
         out[o] = value, rho[i] * value + excess - value, argmax
     return list(out.values())
@@ -526,6 +528,8 @@ def _variation(U: Polynomial, I: Interval) -> tuple:
                     x[i], x[i + 1], dv[i], dv[i + 1], tol)
     pts = np.unique(np.concatenate([x, roots]))
     (vals,), M, _ = _values(U, pts, 0, tol)
+    if np.max(np.abs(vals)) < 2.0 ** -511 and I.lo < I.hi:   # as in _sup_abs
+        raise OverflowEvaluationError("the sup norm of P / leading", True)
     tv = float(np.sum(np.abs(np.diff(vals.real))))
     md = float(np.max(np.abs(dv)))
     # each value, off by its rounding bound 4(d+2) eps M (plus 2^-1074 where

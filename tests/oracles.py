@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to validate certified routines.
 
 Everything here is deliberately naive: dense grids, fixed Gauss-Kronrod
-quadrature, and closed forms worked out by hand.  Nothing imports the certified code paths
-under test (only the polynomial container, for evaluation); the quadrature
-and the zero-list oracles at the end use numpy alone, the last one exact
+quadrature, and closed forms worked out by hand.  No oracle shares code
+with the package: P and P' come from the numpy-only zero-list products at
+the end (zero_list_values, zero_list_derivative), read off the polynomial's
+leading coefficient and zero list, and the only name imported from
+turanlab is Interval, the default range.  The last oracle uses exact
 rational arithmetic.
 """
 
@@ -12,13 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from turanlab.poly import Interval, evaluate_many, derivative_values
+from turanlab.poly import Interval
 
 
 def grid_sup(P, interval=Interval(), m=1_000_000):
     """Dense-grid sup of |P|; a lower bound on the true sup norm."""
     xs = np.linspace(interval.lo, interval.hi, m)
-    return float(np.max(np.abs(evaluate_many(P, xs))))
+    return float(np.max(np.abs(zero_list_values(P.leading, P.zeros, xs))))
 
 
 def grid_sup_slack(P, interval=Interval(), m=1_000_000):
@@ -39,8 +41,8 @@ def grid_sup_slack(P, interval=Interval(), m=1_000_000):
 def grid_ratio(P, interval=Interval(), m=200_001):
     """Grid estimate of ||P'|| / ||P||; no certification."""
     xs = np.linspace(interval.lo, interval.hi, m)
-    vals = np.abs(evaluate_many(P, xs))
-    dvals = np.abs(derivative_values(P, xs))
+    vals = np.abs(zero_list_values(P.leading, P.zeros, xs))
+    dvals = np.abs(zero_list_derivative(P.leading, P.zeros, xs))
     return float(np.max(dvals) / np.max(vals))
 
 
@@ -136,8 +138,8 @@ def _real_derivative_sign_changes(P, interval, per_degree=1024):
 
 def logderiv_abs(P, xs):
     """|P'(x)/P(x)| on a grid, +inf at zeros of P."""
-    vals = evaluate_many(P, xs)
-    dvals = derivative_values(P, xs)
+    vals = zero_list_values(P.leading, P.zeros, xs)
+    dvals = zero_list_derivative(P.leading, P.zeros, xs)
     out = np.full(len(xs), np.inf)
     nz = vals != 0
     out[nz] = np.abs(dvals[nz] / vals[nz])

@@ -10,6 +10,7 @@ from turanlab import (
     Interval,
     RegimeError,
     SearchConfig,
+    argmax_abs_derivative,
     classical_family,
     is_member,
     remark_family,
@@ -103,9 +104,9 @@ def test_remark_family_membership():
     assert rep.class_check.ok
 
 
-def test_remark_family_makes_two_passes_of_the_sup_engine(monkeypatch):
-    # ||P|| and the ratio come from one pass on [-1, 1], the argmax of |P'|
-    # from one on [0, 1]; the numbers are those of the public functions
+def test_remark_family_makes_one_pass_of_the_sup_engine(monkeypatch):
+    # ||P||, the ratio and the argmax of |P'| come from one pass on [-1, 1]
+    # (P is even); the numbers are those of the public functions
     calls, engine = [], supnorm._sup_abs
 
     def counted(P, I, orders):
@@ -115,10 +116,21 @@ def test_remark_family_makes_two_passes_of_the_sup_engine(monkeypatch):
     for module in (supnorm, bounds, constructions):
         monkeypatch.setattr(module, "_sup_abs", counted, raising=False)
     rep = remark_family(0.3, 2)
-    assert calls == [(Interval(), (0, 1)), (Interval(0.0, 1.0), (1,))]
+    assert calls == [(Interval(), (0, 1))]
     monkeypatch.undo()
     assert rep.ratio == turan_ratio(rep.P)
     assert rep.details["norm"] == sup_norm(rep.P).value
+    a = argmax_abs_derivative(rep.P, Interval(0.0, 1.0))
+    assert rep.details["derivative_argmax"] == pytest.approx(a, rel=1e-9)
+
+
+def test_remark_family_caps_the_degree():
+    # eps = 1e-6 asks for m = 1,000,002 zeros, which would make the sup
+    # engine's (zeros x cells) arrays about 16 GB
+    with pytest.raises(ValueError, match="exceeds 5000"):
+        remark_family(1e-6, 1)
+    with pytest.raises(ValueError, match="exceeds 5000"):
+        remark_family(0.25, 834)    # m = 6, degree 5004
 
 
 def test_remark_family_rejects_bad_epsilon():

@@ -48,3 +48,14 @@ def test_package_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_oracles_share_no_code_with_the_package():
+    # the oracles evaluate P and P' by their own zero-list products; only the
+    # Interval container comes from turanlab
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    names = [(node.module, a.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for a in node.names]
+    names += [(a.name, None) for node in ast.walk(tree)
+              if isinstance(node, ast.Import) for a in node.names]
+    assert [n for n in names if n[0].split(".")[0] == "turanlab"] == [("turanlab.poly", "Interval")]

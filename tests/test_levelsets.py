@@ -236,9 +236,14 @@ def test_incomplete_decay_with_factor():
 
 def test_incomplete_decay_vacuous_interval():
     S = from_zeros(1.0, [0.0] * 9 + [0.5])
-    rep = incomplete_decay_check(S, 10, 1)   # 10k >= n-k, empty interval
+    rep = incomplete_decay_check(S, 10, 1)   # 10k >= n-k: the window is [0, 0]
     assert rep.vacuous
     assert rep.satisfied
+    # the same report form as a non-vacuous one: |S| / x^((n-k)/2) vanishes
+    # at 0, and ||S||_[0,1] = 1/2 at x = 1
+    assert (rep.restricted_sup, rep.interval) == (0.0, Interval(0.0, 0.0))
+    assert rep.full_sup == pytest.approx(0.5, rel=1e-14, abs=0)
+    assert rep.to_payload()["interval"] == [0.0, 0.0]
 
 
 def test_incomplete_decay_shape_mismatch():

@@ -1,5 +1,6 @@
 """Certified sup norms, argmax, total variation."""
 
+import functools
 import math
 import time
 import tracemalloc
@@ -840,6 +841,49 @@ def test_overflow_raises_without_a_warning():
             sup_norm(from_zeros(1e308, [3.0, 3.0, 3.0]))
 
 
+def _chebyshev_zeros(n, order):
+    """The zeros cos((2j+1) pi / 2n) of T_n, ascending in j ("sorted") or
+    as z[::2] + z[1::2][::-1] ("interleaved")."""
+    z = list(np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n)))
+    return z if order == "sorted" else z[::2] + z[1::2][::-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev_exact(n):
+    """(ratio, sup, variation) on [-1, 1] of the monic P whose zeros are the
+    rounded zeros of T_n, at 60 digits.  Rounding the zeros moves the
+    values of P by about 1e-11 relative, more than a sup-norm radius, so
+    the reference is P's own: |P'| peaks at the ends, as |T_n'| = n^2 does
+    there and nowhere else, and each extremum of P lies beside one of T_n,
+    x_j = cos(j pi / n), where P' = O(1e-11 n^2 max|P|) and P'' >= n^2 max|P|
+    put |P(x_j)| within 1e-16 relative of it."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        z = [mp.mpf(float(t)) for t in _chebyshev_zeros(n, "sorted")]
+        v = [mp.fprod(x - t for t in z) for x in (mp.cos(j * mp.pi / n) for j in range(n + 1))]
+        slope = max(abs(v[j] * mp.fsum(1 / (e - t) for t in z)) for j, e in ((0, 1), (n, -1)))
+        sup = max(abs(u) for u in v)
+        return slope / sup, sup, mp.fsum(abs(b - a) for a, b in zip(v, v[1:]))
+
+
+@pytest.mark.parametrize("order", ["sorted", "interleaved"])
+@pytest.mark.parametrize("n", [400, 510, 520, 700, 800, 900, 960, 1000, 1030])
+@pytest.mark.parametrize("i, f", list(enumerate([turan_ratio, sup_norm, total_variation])),
+                         ids=["ratio", "sup", "variation"])
+def test_chebyshev_certificates_enclose_or_raise(i, f, n, order):
+    # T_n's monic sup 2^(1-n) falls below 2^-511 from n = 513 on, where
+    # |F|^2 in the cell test and the products over the zeros underflow:
+    # T_800, T_900 and T_1000 sorted gave ratios far from n^2 with small
+    # radii, and T_900's sup and variation missed by factors of 5600 and 18
+    try:
+        cv = f(from_zeros(1.0, _chebyshev_zeros(n, order)))
+    except OverflowEvaluationError as exc:
+        assert n > 512 and "falls below 2^-511" in str(exc)
+        return
+    exact = _chebyshev_exact(n)[i]
+    assert abs(cv.value - exact) <= cv.err, (cv, exact)
+
+
 def test_total_variation_rejects_a_non_real_polynomial():
     with pytest.raises(ValueError, match="requires a real-valued polynomial"):
         total_variation(from_zeros(1.0, [0.5j]))
@@ -863,7 +907,7 @@ def test_total_variation_accepts_a_real_polynomial_whose_cells_underflow():
     zeros = [0.25] * 7 + [0.5 + 0.5j, 0.5 - 0.5j]
     ref = total_variation(from_zeros(1.0, zeros))
     cv = total_variation(from_zeros(1e-250, zeros))
-    assert cv.value == pytest.approx(1e-250 * ref.value, rel=1e-12)
+    assert cv.value == pytest.approx(1e-250 * ref.value, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("c", [1e-20, 1.0, 1e200, -2.0])
@@ -874,4 +918,4 @@ def test_total_variation_real_probe_is_relative(c):
         total_variation(from_zeros(c, [0.5j]))
     # (x^2 + 1/4)(x - 0.3) is increasing: V = |c| (P(1) - P(-1)) = 2.5 |c|
     cv = total_variation(from_zeros(c, [0.5j, -0.5j, 0.3]))
-    assert cv.value == pytest.approx(2.5 * abs(c), rel=1e-14)
+    assert cv.value == pytest.approx(2.5 * abs(c), rel=1e-14, abs=0)
