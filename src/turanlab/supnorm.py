@@ -11,12 +11,14 @@ the Taylor series of P on a cell is built once (the zeros eight at a
 time: the groups' products expanded together, then folded in turn) and
 gives those of P and P'.  It is cut after tau^3, with a bound on the
 rest, and taken in full, at O(d^2) a cell, only where the cut form fails
-and bisection could not do better.  A sign scan of each h over the final
-cells then finds every root that matters; those in cells whose certified
-top of |F| could still exceed the largest |F| over the cell ends are
-narrowed together by Illinois steps (regula falsi, safeguarded by
-bisection).  The maximum of |F| over the cell ends and the narrowed
-roots, all evaluated in factored form, is the value; its radius is
+and bisection could not do better.  Only the candidate cells, whose
+certified top of |F| reaches the largest certified lower bound on |F| at
+the cell midpoints, can hold a maximum: the value pass takes their ends
+alone, and a sign scan of each h over them finds every root that matters.
+Those in cells whose top could still exceed the largest |F| over the
+evaluated ends are narrowed together by Illinois steps (regula falsi,
+safeguarded by bisection).  The maximum of |F| over the evaluated ends
+and the narrowed roots, all in factored form, is the value; its radius is
 64(d+1) eps times the value, plus the rounding bound of the values
 (P' = P sum 1/(x - z_i) can cancel) and whatever a flat maximum or a cell
 given up on could still hide.  Total variation uses the same cell test on
@@ -355,21 +357,33 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     or at most one (g' has none, so a root shows as a sign change), or that
     |F| stays below the maximum found so far plus the radius, as at flat
     maxima like that of (x^4 - 1)^n at 0.  Each maximum is taken over the
-    cell ends and the roots in sign-change cells, all orders' roots
-    narrowed together.  Any possible excess over each maximum joins its
-    radius: from the final cells flat for its order or given up on, and
-    from the rounding of the values.
+    ends of the candidate cells and the roots in their sign-change cells,
+    all orders' roots narrowed together.  Any possible excess over each
+    maximum joins its radius: from the final cells flat for its order or
+    given up on, and from the rounding of the values.
 
-    Only roots that could raise a maximum are narrowed.  The test records,
+    Only cells that could hold a maximum are evaluated.  The test records,
     for each cell, top, its certified bound on |F| there (the bound the
-    radius already trusts for flat cells).  A root of order o is
-    dropped when its cell's top is below floor_o (1 - 64 eps), floor_o the
-    largest computed |F_o| over the cell ends.  The reported value is at
-    least floor_o, and the margin covers the rounding of top, so |F_o|
-    stays below the value on that cell: the radius still holds, and the
-    root would have fallen outside the argmax's 64-eps band.  A cell given
-    up on keeps the record of the last test that failed it, whose top bounds
-    its possible excess; its roots are always narrowed.
+    radius already trusts for flat cells), and best_o, the largest
+    |f_0| - err_0 over the cells: |F_o| at a midpoint less its rounding
+    bound, so best_o <= max |F_o|.  A cell is a candidate when, for some
+    order o, its top is not below best_o (1 - 64 eps) (a NaN top counts);
+    only the ends of candidates go to the value pass.  A dropped cell has
+    top < best_o (1 - 64 eps) for every order, so it is flat for every
+    order (its top already enters the radius) and cannot hold a maximum;
+    the value is still at least floor_o below.  With no candidate, as on a
+    one-point interval or where |F|^2 underflowed and the tops are 0 or NaN
+    rather than bounds, every end is evaluated.
+
+    Only roots that could raise a maximum are narrowed.  A root of order o
+    is dropped when its cell's top is below floor_o (1 - 64 eps), floor_o
+    the largest computed |F_o| over the evaluated ends.  The reported value
+    is at least floor_o, and the margin covers the rounding of top, so
+    |F_o| stays below the value on that cell: the radius still holds, and
+    the root would have fallen outside the argmax's 64-eps band.  A cell
+    given up on keeps the record of the last test that failed it, whose top
+    bounds its possible excess; its top is taken as inf, so it is always a
+    candidate and its roots are always narrowed.
     """
     out = {o: (0.0, 0.0, I.lo) for o in orders}
     orders = [o for o in orders if P.degree >= o]
@@ -409,6 +423,13 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     # the certified top of |F| on each final cell, per order; inf on the
     # cells given up on, whose roots are always narrowed
     cell_top = np.where(given_up, np.inf, tops)
+    # the candidates: cells whose top reaches best for some order (a NaN top
+    # counts); their ends alone go to the value pass.  With none, as on a
+    # one-point interval or where |F|^2 underflowed, every end goes.
+    cand = ~np.all(cell_top < np.array(best)[:, None] * (1.0 - 64.0 * _EPS), axis=0)
+    keep = np.append(cand, False) | np.append(False, cand)
+    if not keep.any():
+        cand[:], keep[:] = True, True
 
     # the sign changes of h = 2 Re(conj(F) F') for every F, labelled by order
     def h(xs, o):
@@ -416,26 +437,29 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
         hv = 2.0 * (np.conj(v[:-1]) * v[1:]).real
         return hv[o, np.arange(xs.size)]
 
-    # the final points' majorants (|P^(o)| <= M E_o on [x - xtol, x + xtol])
-    # come from the differences of the value pass
-    v, M, E1 = _values(P, x, orders[-1] + 1, xtol)
-    hx = 2.0 * (np.conj(v[:-1]) * v[1:]).real
+    # the ends' majorants (|P^(o)| <= M E_o on [x - xtol, x + xtol]) come
+    # from the differences of the value pass; h is NaN at the ends left out
+    pts = x[keep]
+    v, M, E1 = _values(P, pts, orders[-1] + 1, xtol)
+    hx = np.full((len(v) - 1, x.size), np.nan)
+    hx[:, keep] = 2.0 * (np.conj(v[:-1]) * v[1:]).real
     sx = np.sign(hx[orders])
-    # only roots in cells whose top reaches the largest |F| over the cell
-    # ends (floor) can raise the maximum
+    # only roots in candidate cells whose top reaches the largest |F| over
+    # the evaluated ends (floor) can raise the maximum
     floor = np.max(np.abs(v[orders]), axis=1)
     low = cell_top < floor[:, None] * (1.0 - 64.0 * _EPS)
-    row, cell = np.nonzero((sx[:, :-1] * sx[:, 1:] < 0) & ~low)
+    row, cell = np.nonzero((sx[:, :-1] * sx[:, 1:] < 0) & cand & ~low)
     which = np.asarray(orders)[row]
-    roots = _narrow(h, x[cell], x[cell + 1], hx[which, cell], hx[which, cell + 1],
-                    xtol, which)
     # every order takes its maximum over all these points (more points can
     # only raise it); the rounding bound of each value joins the radius, as
     # P' = P * sum 1/(x - z_i) can cancel
-    pts = np.concatenate([x, roots])
-    vr, Mr, E1r = _values(P, roots, orders[-1], xtol)
-    vals = np.abs(np.hstack([v[:-1], vr]))
-    M, E = np.concatenate([M, Mr]), (1.0, np.concatenate([E1, E1r]))
+    vals, E = np.abs(v[:-1]), (1.0, E1)
+    if cell.size:
+        roots = _narrow(h, x[cell], x[cell + 1], hx[which, cell], hx[which, cell + 1],
+                        xtol, which)
+        vr, Mr, E1r = _values(P, roots, orders[-1], xtol)
+        pts, vals = np.concatenate([pts, roots]), np.hstack([vals, np.abs(vr)])
+        M, E = np.concatenate([M, Mr]), (1.0, np.concatenate([E1, E1r]))
     for i, o in enumerate(orders):
         value = float(np.max(vals[o]))
         bound = vals[o] + 4.0 * (P.degree + 2) * _EPS * M * E[o]
@@ -503,17 +527,25 @@ def _variation(U: Polynomial, I: Interval) -> tuple:
     1e-9 M (r E_1)^j plus 4(d+2) 2^-1074, for roundings below 2^-1022.  The
     sign changes of U' are narrowed to 1e-12 and the cell ends stay in as
     breakpoints.  The variation the final cells can hide, where flat or given
-    up on, and the rounding bounds of the values join the radius.
+    up on, and the rounding bounds of the values join the radius.  Below
+    2^-511, as in _sup_abs, it raises: at once when the first round's
+    certified tops of |U| on the start cells, which cover I, all fall below
+    it, before any cell is refined; else when the largest value does.
     """
     tol, slack = 1e-12, 1.0 + 1e-9 / (4.0 * (U.degree + 2) * _EPS)
+    tiny = I.lo < I.hi      # whether every top so far is below 2^-511
 
     def test(a, b, full):
         """(accepted, record (hide, flat), near) per cell."""
+        nonlocal tiny
         c, err, tail = _series(U, a, b, (0,), full)[0]
         if np.any(np.abs(c.imag) > err * slack + 4.0 * (U.degree + 2) * math.ulp(0.0)):
             raise ValueError("total_variation requires a real-valued polynomial "
                              "on the interval")
         c = c.real
+        # the certified top of |U| on each cell; a NaN top is not below
+        tops = (np.abs(c) + err).sum(axis=1) + tail[0]
+        tiny = tiny and bool(np.all(tops < 2.0 ** -511))
         s = (np.abs(c) + err) @ np.arange(c.shape[1])
         hide, below = 2.0 * (s + tail[1]), 4.0 * err[:, 0]
         flat = hide <= below
@@ -521,7 +553,13 @@ def _variation(U: Polynomial, I: Interval) -> tuple:
         # near: the cell would be flat but for the remainder
         return simple | flat, np.array([hide, flat]), 2.0 * s <= below
 
-    x, (hide, flat), given_up = _cells(U, I, tol, test)
+    def join(ok, record, near):
+        """Raise once the first round, which covers I, finds |U| below 2^-511."""
+        if tiny:
+            raise OverflowEvaluationError("the sup norm of P / leading", True)
+        return ok, record, near
+
+    x, (hide, flat), given_up = _cells(U, I, tol, test, join)
     dv = derivative_values(U, x).real
     i = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)
     roots = _narrow(lambda xs: derivative_values(U, xs).real,
