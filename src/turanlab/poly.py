@@ -6,7 +6,9 @@ directly keeps the relative error near machine precision even when the
 expanded coefficients would cancel catastrophically (think zeros packed
 inside [-1,1] at degree 30, where the sup-norm is ~2^(1-n)).  Every
 certified number is computed from the zero list, at any degree, through
-the value kernel here, which also gives P' and P'' without expanding.
+the value kernel here, which also gives P' and P'' without expanding, and
+through the zero-list bounds and Taylor series of P on cells that the sup
+engine (supnorm) tests: _majorants, _tops and _series.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ _EPS = float(np.finfo(float).eps)
 # points at a time, each of about this many entries (1 MiB when complex), so
 # memory grows linearly with the degree; see _blocks.
 _BLOCK_LIMIT = 1 << 16
+
+# _series takes the zeros this many at a time.  A group costs one fold into
+# the series; a zero, one step of the recurrence run on all groups at once.
+# At degree 80-200 the cheap series ran fastest with eight (four and twelve
+# were slower).
+_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -110,20 +118,163 @@ def _majorants(P: Polynomial, r, mz: np.ndarray, kmax: int):
     M(rho) = |c| prod(|m - z_i| + rho), so M = M(r) and
     E_k = e_k(1/(|m - z_i| + r)), from power sums by Newton's identities,
     padded by their rounding."""
+    M, inv = _reach(P, r, mz)
+    return M, _elementary(inv, kmax)
+
+
+def _reach(P: Polynomial, r, mz: np.ndarray):
+    """(M, inv) of _majorants: M = |c| prod(|m - z_i| + r) per cell and the
+    inverse distances inv = 1/(|m - z_i| + r) (zeros x cells)."""
     # in place: at high degree each (zeros x cells) array is megabytes
     w = np.abs(mz)
     M = abs(P.leading) * np.prod(np.add(w, r, out=w), axis=0)
-    inv = np.divide(1.0, w, out=w)
+    return M, np.divide(1.0, w, out=w)
+
+
+def _elementary(inv: np.ndarray, kmax: int, p1=None) -> list:
+    """[E_0, ..., E_kmax] of _majorants from the inverse distances inv; p1,
+    when given, is their sum over the zeros, np.sum(inv, axis=0)."""
     # the power sums start from inv itself; its square is the one more array
-    p, pw = [np.sum(inv, axis=0)], inv
+    p, pw = [np.sum(inv, axis=0) if p1 is None else p1], inv
     for k in range(1, kmax):
         pw = pw * inv if k == 1 else np.multiply(pw, inv, out=pw)
         p.append(np.sum(pw, axis=0))
     E = [1.0, p[0] + 4.0 * _EPS * p[0]]     # e_1 = p_1 >= 0, padded
     for k in range(2, kmax + 1):
-        e = sum((-1) ** (j - 1) * E[k - j] * p[j - 1] for j in range(1, k + 1)) / k
-        E.append(np.maximum(e, 0.0) + 4.0 * k * _EPS * p[0] ** k)
-    return M, E
+        # k e_k = sum_j (-1)^(j-1) e_(k-j) p_j, summed in j order (e_0 = 1)
+        e = E[k - 1] * p[0]
+        for j in range(2, k + 1):
+            term = E[k - j] * p[j - 1] if j < k else p[j - 1]
+            e = e + term if j % 2 else e - term
+        E.append(np.maximum(e / k, 0.0) + 4.0 * k * _EPS * p[0] ** k)
+    return E
+
+
+def _tops(P: Polynomial, m: np.ndarray, r: np.ndarray, orders):
+    """(t, m - z_i, M, inv, p1) on the cells [m - r, m + r]: t the certified
+    tops t_o = M E_o of |P^(o)| per order o in orders (o <= 1), and the
+    differences, M, inverse distances and their sum over the zeros they
+    come from (_reach).  E_0 = 1, and M and E_1 are each padded by
+    1 + 4(d+2) eps for their rounding; a top that reads 0 is raised to
+    2^-1074, and one that is NaN (a zero on a cell of width 0) or inf stays
+    so, never below a bound."""
+    mz = m[None, :] - np.asarray(P.zeros, dtype=complex)[:, None]
+    M, inv = _reach(P, r, mz)
+    p1 = np.sum(inv, axis=0)
+    pad = 1.0 + 4.0 * (P.degree + 2) * _EPS
+    t = [M * pad]
+    if orders[-1]:
+        t.append(t[0] * ((p1 + 4.0 * _EPS * p1) * pad))
+    t = np.maximum(np.array(t[orders[0]:]), math.ulp(0.0))
+    return t, mz, M, inv, p1
+
+
+def _group_products(z: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
+    """The coefficients of tau^0, ..., tau^(n-1) in prod (z_i + r tau) over
+    each group of _GROUP consecutive rows z_i of z (zeros x cells; the last
+    group may be short), as (n, groups, cells), all groups at once.
+
+    In s = r tau the product is monic, so the recurrence c_j <- c_j z_i +
+    c_(j-1) starts from c = (z_first, 1), keeps its top coefficient 1 and
+    takes the one below as z_i + c_(j-1); row j is then scaled by r^j,
+    formed as r r ... r.  A short group skips the steps it has no zero
+    for, as a factor 1 would leave it unchanged."""
+    q = np.zeros((n, -(-len(z) // _GROUP), z.shape[1]), dtype=complex)
+    q[0], q[1:2] = z[::_GROUP], 1.0
+    for i in range(2, _GROUP + 1):      # the degree after this step
+        t = z[i - 1::_GROUP]
+        k = len(t)      # the groups with an i-th zero come first
+        if not k:
+            break
+        rows = n - 1    # rows 1..rows take c_j z_i + c_(j-1)
+        if i < n:       # a new top 1, and z_i + c_(j-1) below it
+            q[i, :k] = 1.0
+            np.add(t, q[i - 2, :k], out=q[i - 1, :k])
+            rows = i - 2
+        for j in range(rows, 0, -1):
+            q[j, :k] *= t
+            q[j, :k] += q[j - 1, :k]
+        q[0, :k] *= t
+    rj = r
+    for j in range(1, n):
+        q[j] *= rj
+        rj = rj * r
+    return q
+
+
+def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool,
+            reach=None):
+    """[(f, err, tail) for F = P^(o), o in the ascending orders] on the
+    cells [a, b], x = m + r tau.  reach, when given, is (m - z_i, M, E) of
+    these cells as _majorants returns them, taken by the cell screen of
+    supnorm._sup_abs.
+
+    P(m + r tau) is expanded once, factor by factor from the zero list, so
+    no expanded form cancels, and each order is derived from it by the
+    shift; f holds the Taylor coefficients of F in tau, err their rounding
+    bounds (4(d+2) eps M (r E_1)^j for P), and tail[k] bounds the k-th
+    tau-derivative (k = 0, 1, 2) of the remainder for tau in [-1, 1].  The
+    cheap form keeps the terms up to tau^3 and bounds the rest by
+    sup|P''''| <= 24 M E_4 (_majorants); the full form keeps all of them,
+    at O(d^2) per cell.
+
+    The zeros go _GROUP = 8 at a time, in the order of the zero list (the
+    last group may hold fewer): _group_products expands the product of the
+    factors (m - z_i) + r tau of every group at once, a block of groups at
+    a time (_blocks), and the groups fold into the series in turn,
+    each by the truncated product c_j <- sum_k c_(j-k) q_k of at most nine
+    terms, summed in k order, on whole rows of the cells.
+
+    The bound, against the majorant |leading| prod (|m - z_i| + r tau), with
+    u = eps/2: a complex product rounds by at most sqrt(5) u, a real product
+    or a sum by u, and the errors of two factors add against the product of
+    their majorants.  A group's first factor is exact and each further step
+    c_j z_i + c_(j-1) adds (1 + sqrt(5)) u, 22.7u for seven; the scaling by
+    r^j adds ju, at most 8u; a fold adds sqrt(5) u for its products and 8u
+    for its sums.  That is 41u for eight zeros, 5.1u a zero, where the
+    stated 4(d+2) eps allows 8u a zero, and the rest covers the leading
+    coefficient and the shift.  M (r E_1)^j dominates the coefficients of the majorant,
+    so the bound holds.
+    """
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    if reach is None:
+        mz = m[None, :] - np.asarray(P.zeros, dtype=complex)[:, None]
+        reach = (mz, *_majorants(P, r, mz, 4))
+    mz, M, E = reach
+    terms = P.degree + 1 if full else min(P.degree + 1, 4)
+    n = min(terms, _GROUP + 1)      # the terms of a group's product that count
+    c, new, tmp = np.zeros((3, terms, m.size), dtype=complex)
+    c[0] = P.leading
+    # a block of groups at a time, n rows a group
+    groups = range(-(-P.degree // _GROUP))
+    done = 0        # zeros folded in
+    for sl in _blocks(len(groups), n * m.size):
+        block = groups[sl]
+        q = _group_products(mz[_GROUP * block.start:_GROUP * block.stop], r, n)
+        for g in range(q.shape[1]):
+            size = min(P.degree - done, _GROUP)
+            done += size
+            live = min(done + 1, terms)     # c_j = 0 from j = live on
+            np.multiply(c[:live], q[0, g], out=new[:live])
+            for k in range(1, min(size + 1, n)):
+                np.multiply(c[:live - k], q[k, g], out=tmp[:live - k])
+                new[k:live] += tmp[:live - k]
+            c, new = new, c
+    c, r = np.ascontiguousarray(c.T), r[:, None]  # row sums keep order
+    err = (4.0 * (P.degree + 2) * _EPS * M[:, None]
+           * (r * E[1][:, None]) ** np.arange(c.shape[1]))
+    out = []
+    for order in range(orders[-1] + 1):
+        if order:
+            j = np.arange(1, c.shape[1])
+            c, err = c[:, 1:] * j / r, err[:, 1:] * j / r
+        if order in orders:
+            n = 4 - order       # the remainder of F starts at tau^n
+            rest = r[:, 0] ** n * 24.0 * M * E[4]
+            tail = np.array([rest / math.factorial(n - k)
+                             for k in range(3)]) * (terms <= P.degree)
+            out.append((c, err, tail))
+    return out
 
 
 def _values(P: Polynomial, xs, order: int, w: float | None = None):

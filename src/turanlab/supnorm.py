@@ -6,15 +6,19 @@ both together, at any degree, from the zero list alone; one pass certifies
 roots of h = 2 Re(conj(F) F').  A Chebyshev grid of the interval, of
 2(d+1) cells at high degree (d = deg P), is refined until bounds taken
 from the zero list prove that each cell holds, for every F asked for, at
-most one root of h, or no value of |F| above the maximum found so far;
-the Taylor series of P on a cell is built once (the zeros eight at a
-time: the groups' products expanded together, then folded in turn) and
-gives those of P and P'.  It is cut after tau^3, with a bound on the
-rest, and taken in full, at O(d^2) a cell, only where the cut form fails
-and bisection could not do better.  Only the candidate cells, whose
-certified top of |F| reaches the largest certified lower bound on |F| at
-the cell midpoints, can hold a maximum: the value pass takes their ends
-alone, and a sign scan of each h over them finds every root that matters.
+most one root of h, or no value of |F| above the maximum found so far.
+A cell is first screened by its zero-list majorant t_o = M E_o of |F|
+(poly._tops): where that top is below a certified lower bound on max |F|,
+the cell is flat and takes no Taylor series, as nearly every start cell
+does at high degree.  On the others the Taylor series of P on a cell is built
+once (the zeros eight at a time: the groups' products expanded together,
+then folded in turn) and gives those of P and P'.  It is cut after
+tau^3, with a bound on the rest, and taken in full, at O(d^2) a cell,
+only where the cut form fails and bisection could not do better.  Only
+the candidate cells, whose certified top of |F| reaches the largest
+certified lower bound on |F| at the cell midpoints, can hold a maximum:
+the value pass takes their ends alone, and a sign scan of each h over
+them finds every root that matters.
 Those in cells whose top could still exceed the largest |F| over the
 evaluated ends are narrowed together by Illinois steps (regula falsi,
 safeguarded by bisection).  The maximum of |F| over the evaluated ends
@@ -47,9 +51,10 @@ from .poly import (
     _EPS,
     Interval,
     Polynomial,
-    _blocks,
     _blockwise,
-    _majorants,
+    _elementary,
+    _series,
+    _tops,
     _values,
     derivative_values,
 )
@@ -59,12 +64,6 @@ from .poly import (
 # of one round, whose arrays are built in blocks.  Level-set refinement, which
 # can keep many cells live, is tuned to this value.
 _BROADCAST_LIMIT = 2_000_000
-
-# _series takes the zeros this many at a time.  A group costs one fold into
-# the series; a zero, one step of the recurrence run on all groups at once.
-# At degree 80-200 the cheap series ran fastest with eight (four and twelve
-# were slower).
-_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -127,108 +126,6 @@ def _narrow(f, a, b, fa, fb, xtol: float, which=None) -> np.ndarray:
         ref[live] = np.where(reset, w, ref[live])
         age[live] = np.where(reset, 0, age[live] + 1)
     return 0.5 * (a + b)
-
-
-def _group_products(z: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
-    """The coefficients of tau^0, ..., tau^(n-1) in prod (z_i + r tau) over
-    each group of _GROUP consecutive rows z_i of z (zeros x cells; the last
-    group may be short), as (n, groups, cells), all groups at once.
-
-    In s = r tau the product is monic, so the recurrence c_j <- c_j z_i +
-    c_(j-1) starts from c = (z_first, 1), keeps its top coefficient 1 and
-    takes the one below as z_i + c_(j-1); row j is then scaled by r^j,
-    formed as r r ... r.  A short group skips the steps it has no zero
-    for, as a factor 1 would leave it unchanged."""
-    q = np.zeros((n, -(-len(z) // _GROUP), z.shape[1]), dtype=complex)
-    q[0], q[1:2] = z[::_GROUP], 1.0
-    for i in range(2, _GROUP + 1):      # the degree after this step
-        t = z[i - 1::_GROUP]
-        k = len(t)      # the groups with an i-th zero come first
-        if not k:
-            break
-        rows = n - 1    # rows 1..rows take c_j z_i + c_(j-1)
-        if i < n:       # a new top 1, and z_i + c_(j-1) below it
-            q[i, :k] = 1.0
-            np.add(t, q[i - 2, :k], out=q[i - 1, :k])
-            rows = i - 2
-        for j in range(rows, 0, -1):
-            q[j, :k] *= t
-            q[j, :k] += q[j - 1, :k]
-        q[0, :k] *= t
-    rj = r
-    for j in range(1, n):
-        q[j] *= rj
-        rj = rj * r
-    return q
-
-
-def _series(P: Polynomial, a: np.ndarray, b: np.ndarray, orders, full: bool):
-    """[(f, err, tail) for F = P^(o), o in the ascending orders] on the
-    cells [a, b], x = m + r tau.
-
-    P(m + r tau) is expanded once, factor by factor from the zero list, so
-    no expanded form cancels, and each order is derived from it by the
-    shift; f holds the Taylor coefficients of F in tau, err their rounding
-    bounds (4(d+2) eps M (r E_1)^j for P), and tail[k] bounds the k-th
-    tau-derivative (k = 0, 1, 2) of the remainder for tau in [-1, 1].  The
-    cheap form keeps the terms up to tau^3 and bounds the rest by
-    sup|P''''| <= 24 M E_4 (_majorants); the full form keeps all of them,
-    at O(d^2) per cell.
-
-    The zeros go _GROUP = 8 at a time, in the order of the zero list (the
-    last group may hold fewer): _group_products expands the product of the
-    factors (m - z_i) + r tau of every group at once, a block of groups at
-    a time (poly._blocks), and the groups fold into the series in turn,
-    each by the truncated product c_j <- sum_k c_(j-k) q_k of at most nine
-    terms, summed in k order, on whole rows of the cells.
-
-    The bound, against the majorant |leading| prod (|m - z_i| + r tau), with
-    u = eps/2: a complex product rounds by at most sqrt(5) u, a real product
-    or a sum by u, and the errors of two factors add against the product of
-    their majorants.  A group's first factor is exact and each further step
-    c_j z_i + c_(j-1) adds (1 + sqrt(5)) u, 22.7u for seven; the scaling by
-    r^j adds ju, at most 8u; a fold adds sqrt(5) u for its products and 8u
-    for its sums.  That is 41u for eight zeros, 5.1u a zero, where the
-    stated 4(d+2) eps allows 8u a zero, and the rest covers the leading
-    coefficient and the shift.  M (r E_1)^j dominates the coefficients of the majorant,
-    so the bound holds.
-    """
-    m, r = 0.5 * (a + b), 0.5 * (b - a)
-    mz = m[None, :] - np.asarray(P.zeros, dtype=complex)[:, None]
-    M, E = _majorants(P, r, mz, 4)
-    terms = P.degree + 1 if full else min(P.degree + 1, 4)
-    n = min(terms, _GROUP + 1)      # the terms of a group's product that count
-    c, new, tmp = np.zeros((3, terms, m.size), dtype=complex)
-    c[0] = P.leading
-    # a block of groups at a time, n rows a group
-    groups = range(-(-P.degree // _GROUP))
-    done = 0        # zeros folded in
-    for sl in _blocks(len(groups), n * m.size):
-        block = groups[sl]
-        q = _group_products(mz[_GROUP * block.start:_GROUP * block.stop], r, n)
-        for g in range(q.shape[1]):
-            size = min(P.degree - done, _GROUP)
-            done += size
-            live = min(done + 1, terms)     # c_j = 0 from j = live on
-            np.multiply(c[:live], q[0, g], out=new[:live])
-            for k in range(1, min(size + 1, n)):
-                np.multiply(c[:live - k], q[k, g], out=tmp[:live - k])
-                new[k:live] += tmp[:live - k]
-            c, new = new, c
-    c, r = np.ascontiguousarray(c.T), r[:, None]  # row sums keep order
-    err = (4.0 * (P.degree + 2) * _EPS * M[:, None]
-           * (r * E[1][:, None]) ** np.arange(c.shape[1]))
-    out = []
-    for order in range(orders[-1] + 1):
-        if order:
-            j = np.arange(1, c.shape[1])
-            c, err = c[:, 1:] * j / r, err[:, 1:] * j / r
-        if order in orders:
-            n = 4 - order       # the remainder of F starts at tau^n
-            tail = np.array([r[:, 0] ** n * 24.0 * M * E[4] / math.factorial(n - k)
-                             for k in range(3)]) * (terms <= P.degree)
-            out.append((c, err, tail))
-    return out
 
 
 def _square(c: np.ndarray) -> np.ndarray:
@@ -384,6 +281,26 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     given up on keeps the record of the last test that failed it, whose top
     bounds its possible excess; its top is taken as inf, so it is always a
     candidate and its roots are always narrowed.
+
+    Most cells skip the Taylor series.  The cheap test takes each cell's
+    tops t_o = M E_o of |F_o| from the zero list (poly._tops) and a
+    certified lower bound T_o on max |F_o|: in the first round, the value
+    kernel's |F_o| at the midpoints of the cells with the largest top of
+    some order, each less 12(d+2) eps t_o of its cell (the kernel's
+    rounding bound and twice the series' err_0, which t_o covers), times
+    1 - 4 eps, joined with the running best_o; later, best_o alone.  A cell with
+    t_o < T_o for every order skips _series, _modulus_square and _no_root
+    and is recorded flat with top t_o.  It leaves best, and with it the
+    flat test of every other cell, as it was: its |f_0| - err_0 <=
+    |F_o(m)| <= t_o < T_o, and T_o <= best_o, as the kernel's bound is at
+    most the |f_0| - err_0 of its own cell, which t_o >= |F_o(m)| keeps
+    from being dropped.  Its top cannot raise the radius: max |F_o| >=
+    best_o > t_o lies outside the cell, so the excess is already at least
+    best_o without it; and it is a candidate only where t_o reaches
+    best_o (1 - 64 eps), as any cell with that top would be.  Only a block
+    where the screen drops at least half the cells copies out the others
+    for the series; elsewhere every cell takes it, as the copy would cost
+    more than the screen saves.
     """
     out = {o: (0.0, 0.0, I.lo) for o in orders}
     orders = [o for o in orders if P.degree >= o]
@@ -393,11 +310,12 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
     xtol = 1e-13 * max(1.0, I.length)
     rho = [64.0 * (P.degree - o + 1) * _EPS for o in orders]
     best = [0.0] * len(orders)
+    first = True        # the first round, on the start cells
 
-    def block(a, b, full):
+    def test(a, b, full, reach=None):
         """(top, at most one root, top less remainder) per order and cell."""
         tops, simple, free = [], [], []
-        for i, (f, err, tail) in enumerate(_series(P, a, b, orders, full)):
+        for i, (f, err, tail) in enumerate(_series(P, a, b, orders, full, reach)):
             best[i] = max(best[i], float(np.max(np.abs(f[:, 0]) - err[:, 0], initial=0.0)))
             q, qerr, qtail = _modulus_square(f, err, tail)
             s = q[:, 0] + np.sum(np.abs(q[:, 1:]), axis=1) + np.sum(qerr, axis=1)
@@ -406,8 +324,44 @@ def _sup_abs(P: Polynomial, I: Interval, orders) -> list:
             simple.append(_no_root(q, qerr, qtail[1], 1) | _no_root(q, qerr, qtail[2], 2))
         return np.array(tops), np.array(simple), np.array(free)
 
+    def block(a, b, full):
+        """test on the cells [a, b] but those the screen drops, which it
+        records as flat, with their top t."""
+        if full:
+            return test(a, b, True)
+        m, r = 0.5 * (a + b), 0.5 * (b - a)
+        t, mz, M, inv, p1 = _tops(P, m, r, orders)
+        low = np.array(best)
+        if first and m.size:
+            # a certified lower bound on each max |F_o|: the kernel's |F_o|
+            # at the midpoints of the cells with the largest top of some
+            # order, less its own rounding bound and twice the series' err_0
+            big = np.argmax(t, axis=1)
+            v = np.abs(_values(P, m[big], orders[-1])[orders])
+            v = (v - 12.0 * (P.degree + 2) * _EPS * t[:, big]) * (1.0 - 4.0 * _EPS)
+            low = np.maximum(low, np.max(v, axis=1, where=np.isfinite(v), initial=0.0))
+        drop = np.all(t < low[:, None], axis=0)
+        keep = np.flatnonzero(~drop)
+        # copying the cells that stay costs more than the screen saves
+        # unless it drops at least half of them
+        if 2 * keep.size > m.size:
+            E = _elementary(inv, 4, p1)
+            del inv     # before _series: the peak stays as it was
+            return test(a, b, False, (mz, M, E))
+        out = (t, np.zeros(t.shape, dtype=bool), t.copy())
+        if keep.size:
+            # a lone cell goes as a pair, as in poly._blocks
+            rows = np.repeat(keep, 2) if keep.size == 1 else keep
+            E = _elementary(inv[:, rows], 4, p1[rows])
+            del inv     # before mz is copied
+            for o, x in zip(out, test(a[rows], b[rows], False, (mz[:, rows], M[rows], E))):
+                o[:, keep] = x[:, :keep.size]
+        return out
+
     def join(tops, simple, free):
         """(accepted, record (top, flat) per order, near) per cell."""
+        nonlocal first
+        first = False
         # the flat test waits for best to take every block: a running
         # maximum would let the blocks decide which cells count as flat
         peak = np.array(best)[:, None]

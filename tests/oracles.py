@@ -239,15 +239,16 @@ def zero_list_grid_max(lead, zeros, order, m=100_001, lo=-1.0, hi=1.0):
     return float(np.max(np.abs(f(lead, zeros, xs))))
 
 
-def zero_list_sup_upper(lead, zeros, order, per_degree=32):
-    """Ehlich-Zeller upper bound on max |P^(order)| over [-1, 1]: for the
+def zero_list_sup_upper(lead, zeros, order, per_degree=32, lo=-1.0, hi=1.0):
+    """Ehlich-Zeller upper bound on max |P^(order)| over [lo, hi]: for the
     real polynomial g = |P^(order)|^2 of degree D and m > D,
-    ||g|| <= max_j g(cos(j pi / m)) / cos(D pi / (2 m))."""
+    ||g|| <= max_j g(c + h cos(j pi / m)) / cos(D pi / (2 m)), with c and h
+    the midpoint and half-length of [lo, hi]."""
     D = 2 * (len(zeros) - order)
     if D <= 0:
         return abs(lead) * (1 if order == 0 else len(zeros))
     m = per_degree * D
-    xs = np.cos(np.pi * np.arange(m + 1) / m)
+    xs = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(m + 1) / m)
     f = zero_list_values if order == 0 else zero_list_derivative
     top = float(np.max(np.abs(f(lead, zeros, xs))))
     return top / np.sqrt(np.cos(D * np.pi / (2.0 * m))) * (1.0 + 1e-12)

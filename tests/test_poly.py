@@ -17,7 +17,7 @@ from turanlab import (
     from_zeros,
     to_payload,
 )
-from turanlab.poly import _values
+from turanlab.poly import _elementary, _values
 
 
 def test_interval_defaults():
@@ -164,3 +164,24 @@ def test_interval_rejects_a_non_finite_endpoint(lo, hi):
 def test_malformed_payload_rejected(obj):
     with pytest.raises(ValueError, match="malformed polynomial payload"):
         from_payload(obj)
+
+
+def test_newton_sums_keep_the_bits_of_the_plain_formula():
+    # _elementary writes k e_k = sum_j (-1)^(j-1) e_(k-j) p_j without the
+    # multiplications by +-1 and the leading 0 + of Python's sum; both are
+    # exact, so every E_k keeps the bits of the plain formula
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for _ in range(50):
+        inv = 10.0 ** rng.uniform(-3.0, 8.0, (int(rng.integers(1, 300)), 7))
+        pw = inv * inv
+        p = [np.sum(inv, axis=0), np.sum(pw, axis=0),
+             np.sum(np.multiply(pw, inv, out=pw), axis=0),
+             np.sum(np.multiply(pw, inv, out=pw), axis=0)]
+        plain = [1.0, p[0] + 4.0 * eps * p[0]]
+        for k in range(2, 5):
+            e = sum((-1) ** (j - 1) * plain[k - j] * p[j - 1] for j in range(1, k + 1)) / k
+            plain.append(np.maximum(e, 0.0) + 4.0 * k * eps * p[0] ** k)
+        E = _elementary(inv, 4)
+        for k in range(1, 5):
+            assert np.array_equal(E[k], plain[k]), k

@@ -24,6 +24,7 @@ from turanlab import (
     logderiv_values,
     sample,
     small_logderiv_measure,
+    sup_norm,
     turan_ratio,
 )
 
@@ -77,6 +78,38 @@ def test_ratio_meets_the_oracle_bracket_on_near_real_and_repeated_zeros(zeros):
     hi = zero_list_sup_upper(1.0, zeros, 1) / zero_list_grid_max(1.0, zeros, 0)
     assert cv.value - cv.err <= hi and cv.value + cv.err >= lo, (cv, lo, hi)
     assert cv.err <= 1e-9 * cv.value, cv
+
+
+# an interval [lo, lo + width] and up to 12 zeros on it: at its ends (one
+# end or both, repeats included), and others placed by their offset u
+# across it, on or near the real line
+end_zeros = st.tuples(
+    st.floats(-3.0, 3.0), st.floats(0.1, 4.0),
+    st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=5),
+    st.lists(st.tuples(st.floats(-0.2, 1.2),
+                       st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.3])), max_size=7))
+
+
+@settings(FIXED, max_examples=40)
+@given(end_zeros)
+def test_ratio_and_sup_norm_meet_the_oracle_bracket_with_zeros_at_the_ends(case):
+    # the grid maxima and Ehlich-Zeller upper bounds on [lo, hi] bracket each
+    # norm and the ratio, with zeros at either end of an interval other than
+    # [-1, 1]
+    lo, width, ends, others = case
+    I = Interval(lo, lo + width)
+    zeros = ([complex((I.lo, I.hi)[int(e)]) for e in ends]
+             + [complex(I.lo + u * width, v * width) for u, v in others])
+    grid = [zero_list_grid_max(1.0, zeros, o, lo=I.lo, hi=I.hi) for o in (0, 1)]
+    upper = [zero_list_sup_upper(1.0, zeros, o, lo=I.lo, hi=I.hi) for o in (0, 1)]
+    cv = turan_ratio(from_zeros(1.0, zeros), I)
+    assert cv.value - cv.err <= upper[1] / grid[0], (cv, upper, grid)
+    assert cv.value + cv.err >= grid[1] / upper[0], (cv, upper, grid)
+    assert cv.err <= 1e-9 * cv.value, cv
+    n0 = sup_norm(from_zeros(1.0, zeros), I)
+    assert n0.value - n0.err <= upper[0], (n0, upper)
+    assert n0.value + n0.err >= grid[0], (n0, grid)
+    assert n0.err <= 1e-9 * n0.value, n0
 
 
 @FIXED

@@ -28,7 +28,8 @@ from turanlab import (
     turan_ratio,
 )
 from turanlab import poly, supnorm
-from turanlab.supnorm import _cheb_grid, _majorants, _narrow, _series
+from turanlab.poly import _majorants, _series
+from turanlab.supnorm import _cheb_grid, _narrow
 
 from oracles import (
     exact_cell_series,
@@ -668,7 +669,7 @@ def test_cell_series_is_the_grouped_product_bit_for_bit(monkeypatch):
             M, E = _majorants(P, r, 0.5 * (a + b) - np.array(P.zeros)[:, None], 4)
             for full in forms:
                 f, err, _ = _series(P, a, b, (0,), full)[0]
-                ref = _grouped_reference(P, a, b, f.shape[1], supnorm._GROUP)
+                ref = _grouped_reference(P, a, b, f.shape[1], poly._GROUP)
                 assert np.array_equal(f, ref)
                 bound = (4.0 * (P.degree + 2) * 2.0 ** -52 * M[:, None]
                          * (r[:, None] * E[1][:, None]) ** np.arange(f.shape[1]))
@@ -768,9 +769,9 @@ def test_cells_go_to_the_full_series_only_where_bisection_cannot_win(monkeypatch
     # (z^16 - 1)^10, with its flat maximum, 422.
     series, cells = supnorm._series, {False: 0, True: 0}
 
-    def counted(P, a, b, orders, full):
+    def counted(P, a, b, orders, full, reach=None):
         cells[full] += a.size
-        return series(P, a, b, orders, full)
+        return series(P, a, b, orders, full, reach)
 
     monkeypatch.setattr(supnorm, "_series", counted)
     turan_ratio(_chebyshev(200))                # 3,930 cheap, 0 full
@@ -1039,9 +1040,9 @@ def test_a_top_within_the_margin_below_best_keeps_its_cell(monkeypatch):
     best = {}
     series, cells = supnorm._series, supnorm._cells
 
-    def series_(P, a, b, orders, full):
+    def series_(P, a, b, orders, full, reach=None):
         # the engine's best: the largest |f_0| - err_0 over every cell tested
-        out = series(P, a, b, orders, full)
+        out = series(P, a, b, orders, full, reach)
         for o, (f, err, _) in zip(orders, out):
             low = float(np.max(np.abs(f[:, 0]) - err[:, 0], initial=0.0))
             best[o] = max(best.get(o, 0.0), low)
@@ -1062,3 +1063,97 @@ def test_a_top_within_the_margin_below_best_keeps_its_cell(monkeypatch):
     for f, want in zip((turan_ratio, sup_norm), plain):
         best.clear()
         assert f(P) == want, (f, want)
+
+
+def _exact_tops(zeros, m, r):
+    """prod(|m - z_i| + r) and prod(|m - z_i| + r) sum 1/(|m - z_i| + r) at
+    40 digits: the majorants of |P| and |P'| on [m - r, m + r], P monic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        w = [abs(mp.mpf(m) - mp.mpc(z)) + mp.mpf(r) for z in zeros]
+        M = mp.fprod(w)
+        return M, M * mp.fsum(1 / u for u in w)
+
+
+def _screened_tops(zeros, a, b):
+    """The screen's tops (t_0, t_1) of the monic P on the cells [a, b]."""
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    return poly._tops(from_zeros(1.0, zeros), m, r, (0, 1))[0]
+
+
+def test_screen_tops_bound_the_exact_majorants():
+    # the cell screen drops a cell on its tops t_0 = M and t_1 = M E_1,
+    # each factor padded by 1 + 4(d+2) eps: unpadded, M fell up to 2.4e-14
+    # relative below the exact product at these degrees
+    rng = np.random.default_rng(30)
+    for draw in range(40):
+        d = int(rng.integers(1, 701))
+        c = rng.choice([1e-6, 1e-3, 0.05, 0.5], size=d)
+        zeros = rng.uniform(-1.2, 1.2, d) + 1j * c * rng.normal(0.0, 1.0, d)
+        # a near-real cluster of up to eight zeros around a point of [-1, 1]
+        k = min(d, int(rng.integers(0, 9)))
+        x0 = rng.uniform(-1.0, 1.0)
+        zeros[:k] = x0 + 1e-6 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(0, 1, k))
+        m = np.append(rng.uniform(-1.0, 1.0, 3), x0)
+        r = 10.0 ** rng.uniform(-9.0, -1.0, 4)
+        a, b = m - r, m + r
+        t = _screened_tops(zeros, a, b)
+        for i in range(m.size):
+            M, ME = _exact_tops(zeros, 0.5 * (a[i] + b[i]), 0.5 * (b[i] - a[i]))
+            assert t[0, i] >= M and t[1, i] >= ME, (draw, d, i, t[:, i], M, ME)
+    # a zero exactly at the midpoint 0.25 of [0.125, 0.375]
+    zeros = [0.25, 0.6 + 1e-6j, -0.3, 0.9 - 0.2j]
+    t = _screened_tops(zeros, np.array([0.125, -1.0]), np.array([0.375, -0.5]))
+    for i, (a, b) in enumerate([(0.125, 0.375), (-1.0, -0.5)]):
+        M, ME = _exact_tops(zeros, 0.5 * (a + b), 0.5 * (b - a))
+        assert t[0, i] >= M and t[1, i] >= ME
+
+
+def test_screen_never_drops_a_cell_whose_top_is_not_a_number():
+    # on a cell of width 0 that holds a zero, E_1 = inf and t_1 = 0 * inf
+    # is NaN: no comparison can drop it.  t_0 = 0 is raised to 2^-1074.
+    zeros = [0.25, 0.5, -0.3 + 0.1j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _screened_tops(zeros, np.array([0.25, 0.0]), np.array([0.25, 0.1]))
+    assert t[0, 0] == 5e-324 and np.isnan(t[1, 0])
+    assert not np.any(t[1, 0] < np.array([0.0, 1.0, np.inf]))
+    M, ME = _exact_tops(zeros, 0.05, 0.05)
+    assert t[0, 1] >= M and t[1, 1] >= ME
+
+
+def test_screen_tops_that_underflow_read_the_smallest_subnormal():
+    # 80 zeros within 1e-5 of the cell: M ~ 1e-397 underflows to 0, and
+    # a top that reads 0 would not bound anything
+    rng = np.random.default_rng(31)
+    zeros = 0.3 + 1e-5 * (rng.uniform(-1, 1, 80) + 1j * rng.uniform(0, 1, 80))
+    a, b = np.array([0.3 - 1e-6, -1.0]), np.array([0.3 + 1e-6, -0.9])
+    t = _screened_tops(zeros, a, b)
+    assert t[0, 0] == t[1, 0] == 5e-324
+    for i in range(a.size):
+        M, ME = _exact_tops(zeros, 0.5 * (a[i] + b[i]), 0.5 * (b[i] - a[i]))
+        assert t[0, i] >= M and t[1, i] >= ME, (i, t[:, i], M, ME)
+
+
+@pytest.mark.parametrize("case", ["member600", "d1-300"])
+def test_screen_at_high_degree_keeps_the_ratio_in_the_oracle_bracket(case, monkeypatch):
+    # the cell screen drops almost every start cell of the degree-600
+    # member before any Taylor series: the series sees fewer than 10% of
+    # its 2(d+1) start cells over every round
+    if case == "member600":
+        P = sample(ClassSpec(600, 100, pin_interval_zero=True), seed=1)
+    else:
+        P = from_zeros(1.0, _d1_zeros(30, 300, 301))
+    series, cells = supnorm._series, [0]
+
+    def counted(P, a, b, orders, full, reach=None):
+        cells[0] += a.size
+        return series(P, a, b, orders, full, reach)
+
+    monkeypatch.setattr(supnorm, "_series", counted)
+    cv = turan_ratio(P)
+    assert case != "member600" or cells[0] < 0.1 * 2 * (P.degree + 1), cells
+    lead, zeros = P.leading, P.zeros
+    lower = zero_list_grid_max(lead, zeros, 1) / zero_list_sup_upper(lead, zeros, 0)
+    upper = zero_list_sup_upper(lead, zeros, 1) / zero_list_grid_max(lead, zeros, 0)
+    assert cv.err <= 1e-9 * cv.value, cv
+    assert lower - cv.err <= cv.value <= upper + cv.err, (lower, cv, upper)
