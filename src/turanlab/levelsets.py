@@ -85,9 +85,12 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
 
     Cells start as the 8(d+1)-cell Chebyshev grid of ambient with the real
     parts of the zeros inserted as ends; the sup engine's coarser start
-    costs this test more rounds than it saves.  On a cell [m - r, m + r],
-    with dist_i the distance of z_i to it, D2 = sum 1/dist_i^2 and
-    D3 = sum 1/dist_i^3,
+    costs this test more rounds than it saves.  Beside a zero z with
+    0 < y = |Im z| < h, h the start spacing (hi - lo) / (8d + 8), the graded
+    ends Re z +- y 2^j < h (j >= 0) go in too: a cell there settles once it
+    is about as narrow as its distance to z.  A failed cell is cut in up to
+    eight parts (_refine's pieces).  On a cell [m - r, m + r], with dist_i
+    the distance of z_i to it, D2 = sum 1/dist_i^2 and D3 = sum 1/dist_i^3,
 
         1/(x-z) - 1/(m-z) = (m-x) / ((x-z)(m-z)),
         1/(x-z)^2 - 1/(m-z)^2 = (m-x)(m+x-2z) / ((x-z)^2 (m-z)^2)
@@ -119,7 +122,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     cell, s_rest the other zeros' part of s; where that, padded for its
     rounding, exceeds the level, the cell is out of {|s| <= level} and in
     {|s| >= level}.  Any other cell, as at a tangency of |s| with the
-    level, is split.  _refine returns each final cell with a code:
+    level, is split again.  _refine returns each final cell with a code:
     0 out, 1 in, 2 crossing located (the crossing step records its inside
     part and its error).  A cell narrower than _MIN_CELL, or live when the
     cells would exceed the cap, is given up on: its midpoint classifies it
@@ -131,10 +134,16 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
     inner = zs.real[(zs.real > lo) & (zs.real < hi)]
     zr, zi2 = zs.real, zs.imag ** 2
     poles = zs.real[(zs.imag == 0) & (zs.real >= lo) & (zs.real <= hi)][:, None]
-    # an inner Chebyshev point within rounding of a real zero would leave
-    # beside it a sliver that no test settles: the zero takes its place
-    cheb = _cheb_grid(lo, hi, 8 * d + 8)[1:-1]
-    cheb = cheb[np.all(np.abs(cheb - poles) > 4.0 * _EPS * max(abs(lo), abs(hi)), axis=0)]
+    # the graded ends, y raised to tiny, the rounding of an end, if smaller
+    h, tiny = (hi - lo) / (8 * d + 8), 4.0 * _EPS * max(abs(lo), abs(hi))
+    near = (zs.imag != 0) & (np.abs(zs.imag) < h)
+    g = np.maximum(np.abs(zs.imag[near]), tiny)[:, None] * 2.0 ** np.arange(
+        math.frexp(h / tiny)[1] if near.any() else 0)
+    ends = (zs.real[near][:, None] + np.stack([g, -g]))[:, g < h].ravel()
+    # an inner point within rounding of a real zero would leave beside it
+    # a sliver that no test settles: the zero takes its place
+    cheb = np.concatenate([_cheb_grid(lo, hi, 8 * d + 8)[1:-1], ends[(ends > lo) & (ends < hi)]])
+    cheb = cheb[np.all(np.abs(cheb - poles) > tiny, axis=0)]
     grid = np.unique(np.concatenate([[lo, hi], cheb, inner]))
     rnd = 4.0 * (d + 1) * _EPS
     located = [np.zeros((3, 0))]    # (inside part, error) per crossing
@@ -248,7 +257,7 @@ def _level_set(P: Polynomial, level: float, small: bool, ambient: Interval):
         return ok
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, b, code, given_up = _refine(grid, settle, _MIN_CELL, d)
+        a, b, code, given_up = _refine(grid, settle, _MIN_CELL, d, 8)
         if given_up.any():
             code[given_up] = point(0.5 * (a[given_up] + b[given_up]))[2]
     located = np.concatenate(located, axis=1)

@@ -166,10 +166,13 @@ def _no_root(c: np.ndarray, err: np.ndarray, tail: np.ndarray, k: int) -> np.nda
     return (np.abs(c[:, k]) - err[:, k]) * f[k] > rest
 
 
-def _refine(x: np.ndarray, settle, min_width: float, degree: int):
-    """Bisect the cells of the ascending grid x until settle(a, b) accepts
+def _refine(x: np.ndarray, settle, min_width: float, degree: int, pieces: int = 2):
+    """Split the cells of the ascending grid x until settle(a, b) accepts
     each one; settle returns (accepted, record), the record an array whose
-    last axis runs over the cells.
+    last axis runs over the cells.  A failed cell is bisected at 0.5 (a + b)
+    or, for pieces > 2, cut into min(pieces, floor(width / min_width)) equal
+    parts with exact ends: at least two, and fewer where the next round
+    would pass the cap below, so none falls below min_width / 2.
 
     Returns the final cells, which tile x, in ascending order as
     (a, b, record, given_up): each cell's record comes from the test that
@@ -183,14 +186,22 @@ def _refine(x: np.ndarray, settle, min_width: float, degree: int):
     final = []
     while True:
         ok, record = settle(a, b)
-        stop = ~ok & ((b - a < min_width) | (2 * np.count_nonzero(~ok) > cap))
+        failed = np.count_nonzero(~ok)
+        stop = ~ok & ((b - a < min_width) | (2 * failed > cap))
         done = ok | stop
         final.append((a[done], b[done], record[..., done], stop[done]))
         if done.all():
             break
         a, b = a[~done], b[~done]
-        m = 0.5 * (a + b)
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        if pieces == 2:
+            m = 0.5 * (a + b)
+            a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        else:
+            n = np.clip((b - a) // min_width, 2, min(pieces, cap // failed)).astype(int)
+            cell = np.repeat(np.arange(n.size), n)
+            j, n, b = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n), n[cell], b[cell]
+            a = np.minimum(a[cell] + (b - a[cell]) * (j / n), b)
+            b = np.where(j + 1 == n, b, np.roll(a, -1))
     a, b, record, given_up = (np.concatenate(p, axis=-1) for p in zip(*final))
     # by both ends: a midpoint rounded onto an end leaves a zero-width cell
     order = np.lexsort((b, a))

@@ -143,6 +143,21 @@ def test_small_measure_tangency_falls_back_to_bisection(monkeypatch):
     assert rep.measure.err == pytest.approx(np.sum(hi - lo), rel=1e-9)
 
 
+def test_tangency_gives_up_no_more_than_bisection(monkeypatch):
+    # the tangency at x = 0 is settled by neither split: eight-way splits
+    # give up no more cells there than bisection does, and the radius, the
+    # total width of those cells, stays at most 1.135e-7
+    give_ups = _refine_give_ups(monkeypatch)
+    refine = levelsets._refine
+    Q = from_zeros(1.0, [1j])
+    rep = small_logderiv_measure(Q, 1.0)
+    monkeypatch.setattr(levelsets, "_refine", lambda x, settle, w, d, pieces: refine(x, settle, w, d))
+    bisected = small_logderiv_measure(Q, 1.0)
+    assert abs(rep.measure.value - 2.0) <= rep.measure.err <= 1.135e-7
+    assert abs(bisected.measure.value - 2.0) <= bisected.measure.err
+    assert 0 < give_ups[0].shape[1] <= give_ups[1].shape[1]
+
+
 def test_small_measure_grid_agreement():
     rng = np.random.Generator(np.random.Philox(key=np.uint64(31)))
     for i in range(8):
@@ -397,12 +412,36 @@ def _agrees_with_grid(measure, zeros, level, small):
     return abs(measure.value - grid) <= measure.err + h * (boundaries + 2)
 
 
-def test_small_measure_near_real_clusters_match_grid():
-    # the |Q'|^2 - c^2 |Q|^2 coefficient route got 56 of these 60 wrong
+def _settle_rounds(monkeypatch):
+    """Record the number of settle rounds _refine runs, per level-set call."""
+    refine, log = levelsets._refine, []
+
+    def spy(x, settle, *args):
+        rounds = [0]
+
+        def counted(a, b):
+            rounds[0] += 1
+            return settle(a, b)
+
+        out = refine(x, counted, *args)
+        log.append(rounds[0])
+        return out
+
+    monkeypatch.setattr(levelsets, "_refine", spy)
+    return log
+
+
+def test_small_measure_near_real_clusters_match_grid(monkeypatch):
+    # the |Q'|^2 - c^2 |Q|^2 coefficient route got 56 of these 60 wrong;
+    # with the graded start ends and eight-way splits each settles in at
+    # most five rounds (bisection from the plain grid took up to 17)
+    rounds = _settle_rounds(monkeypatch)
     for i in range(60):
         zeros, delta = _d2_input(i)
         rep = small_logderiv_measure(from_zeros(1.0, zeros), delta)
         assert _agrees_with_grid(rep.measure, zeros, len(zeros) * delta, True), (i, rep)
+        assert rounds[-1] <= 5, (i, rounds[-1])
+    assert len(rounds) == 60
 
 
 def test_small_measure_benign_degree_28_is_empty():

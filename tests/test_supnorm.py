@@ -328,6 +328,119 @@ def test_refine_returns_the_final_cells_in_order_with_their_own_records():
     assert record.shape == (3, 0)
 
 
+
+def _bisect(x, settle, min_width, degree):
+    """_refine before it took pieces: every failed cell bisected at
+    0.5 (a + b), the cap counting two cells per failed one."""
+    cap = max(16 * (degree + 1), supnorm._BROADCAST_LIMIT // max(degree, 1))
+    a, b = x[:-1], x[1:]
+    final = []
+    while True:
+        ok, record = settle(a, b)
+        stop = ~ok & ((b - a < min_width) | (2 * np.count_nonzero(~ok) > cap))
+        done = ok | stop
+        final.append((a[done], b[done], record[..., done], stop[done]))
+        if done.all():
+            break
+        a, b = a[~done], b[~done]
+        m = 0.5 * (a + b)
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
+    a, b, record, given_up = (np.concatenate(p, axis=-1) for p in zip(*final))
+    order = np.lexsort((b, a))
+    return a[order], b[order], record[..., order], given_up[order]
+
+
+def _fail_first_round():
+    """settle for _refine that fails every cell of its first call and
+    accepts every cell after, with the ends as the record."""
+    calls = []
+
+    def settle(a, b):
+        calls.append(a.size)
+        return np.full(a.size, len(calls) > 1), np.stack([a, b])
+
+    return settle
+
+
+def test_refine_with_two_pieces_is_the_plain_bisection_bit_for_bit():
+    # the sup engine keeps the default: cells accepted once narrower than a
+    # width that varies along the grid, some given up on at min_width, and
+    # at d = 60 and 353 the cap gives up the live cells; the grid points have
+    # both signs and magnitudes 1e-8 to 1, where a + (b - a) / 2 can round
+    # otherwise than (a + b) / 2
+    rng = np.random.default_rng(5)
+    for degree, cells, min_width in [(4, 11, 1e-4), (60, 400, 1e-7), (353, 900, 1e-9)]:
+        x = np.sort(np.concatenate([[-1.0, 1.0], rng.choice([-1.0, 1.0], cells - 1)
+                                    * 10.0 ** rng.uniform(-8.0, 0.0, cells - 1)]))
+
+        def settle(a, b):
+            wide = (b - a) > 1e-3 * (1.0 + np.sin(40.0 * a)) ** 4
+            return ~wide, np.stack([a, b, b - a])
+
+        want = _bisect(x, settle, min_width, degree)
+        for got in (supnorm._refine(x, settle, min_width, degree),
+                    supnorm._refine(x, settle, min_width, degree, 2)):
+            for u, v in zip(got, want):
+                assert u.dtype == v.dtype and np.array_equal(u, v)
+        assert want[3].any() and not want[3].all()
+
+
+def test_refine_pieces_tile_each_cell_with_exact_ends():
+    # eight parts a cell, also in cells a few ulps wide, where parts round
+    # onto each other: the ends stay exact and the parts leave no gap and
+    # no overlap
+    u = np.spacing(0.3)
+    x = np.array([-1.0, -0.3, -0.3 + 4 * u, 1e-300, 1e-290, 0.3, 0.3 + u, 0.3 + 3 * u,
+                  0.3 + 11 * u, 0.7, 1.0])
+    a, b, record, given_up = supnorm._refine(x, _fail_first_round(), 1e-300, 4, 8)
+    assert a.size == 8 * (x.size - 1) and not given_up.any()
+    assert a[0] == x[0] and b[-1] == x[-1] and np.array_equal(b[:-1], a[1:])
+    assert np.all(b >= a) and np.all(np.isin(x[:-1], a))
+    assert np.array_equal(record, [a, b])
+    # the parts of a cell of ordinary width are equal up to rounding
+    wide = (a >= 0.3 + 11 * u) & (b <= 0.7)
+    assert np.count_nonzero(wide) == 8
+    assert np.allclose(b[wide] - a[wide], 0.05, rtol=0, atol=4 * np.spacing(0.7))
+
+
+def test_refine_pieces_never_cut_below_half_the_min_width():
+    # a cell of width w is cut into min(8, max(2, floor(w / min_width)))
+    # parts, none narrower than min_width / 2; a failed cell narrower than
+    # min_width is given up on instead
+    min_width = 1e-6
+    widths = min_width * np.array([0.5, 1.0001, 1.5, 1.9999, 2.01, 3.7, 7.99, 8.01, 9.5, 30.0])
+    x = np.cumsum(np.concatenate([[0.5], widths]))
+    a, b, _, given_up = supnorm._refine(x, _fail_first_round(), min_width, 4, 8)
+    parent = np.searchsorted(x, 0.5 * (a + b)) - 1
+    want = np.minimum(8, np.maximum(2, np.floor(widths / min_width))).astype(int)
+    want[0] = 1
+    assert np.array_equal(np.bincount(parent, minlength=widths.size), want)
+    assert np.array_equal(given_up, parent == 0)
+    assert np.all(b[parent > 0] - a[parent > 0] >= 0.5 * min_width * (1 - 1e-9))
+
+
+def test_refine_pieces_keep_each_round_within_the_cap():
+    # at d = 353 the cap is 5,665 cells: 1,000 failing cells 20 min_width
+    # wide would make 8,000 eighths, so they are cut in five (5,000 cells),
+    # and the next round, whose 5,000 failing cells could not even be
+    # bisected within the cap, gives up on all of them
+    min_width, sizes = 1e-9, []
+
+    def settle(a, b):
+        sizes.append(a.size)
+        return np.zeros(a.size, dtype=bool), np.stack([a, b])
+
+    x = 0.25 + 20 * min_width * np.arange(1001)
+    a, b, _, given_up = supnorm._refine(x, settle, min_width, 353, 8)
+    assert sizes == [1000, 5000] and given_up.all()
+    assert a[0] == x[0] and b[-1] == x[-1] and np.array_equal(b[:-1], a[1:])
+    # where floor(width / min_width) is below the cap's share the width
+    # decides: 1,200 cells 3.5 min_width wide are cut in three, not four
+    sizes.clear()
+    x = 0.25 + 3.5 * min_width * np.arange(1201)
+    a, b, _, given_up = supnorm._refine(x, settle, min_width, 353, 8)
+    assert sizes == [1200, 3600] and given_up.all()
+
 def test_no_cell_series_after_refine_returns(monkeypatch):
     # every final cell comes back with what its test proved, so nothing
     # tests a cell again, also where cells are given up on
